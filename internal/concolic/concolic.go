@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dart/internal/coverage"
@@ -425,16 +426,15 @@ type engine struct {
 	// Reset between runs so a search's N runs reuse one allocation
 	// footprint.  Never shared across engines.
 	mach *machine.Machine
-	// pcbuf is scratch for solveNext's path-constraint prefix.  The
-	// solver consumes the slice within the call (retained artifacts —
-	// cache entries, unsat-slice renderings — are copies or strings),
-	// so one buffer serves every flip attempt of the search.
-	pcbuf []symbolic.Pred
+	// path is the classic engine's index of the current run's path
+	// constraint, rebuilt in place once per run by solveNext.
+	path solver.Path
 	// candbuf is pickBranch's candidate scratch (indices only, never
 	// retained past the call).
 	candbuf []int
-	// hintbuf is hint's reusable assignment map: the solver reads it
-	// during the solve and copies what it keeps into fresh models.
+	// hintbuf is the classic engine's reusable hint map: the solver
+	// reads it during the solve and copies what it keeps into fresh
+	// models.
 	hintbuf map[symbolic.Var]int64
 	// argbuf is oneRun's reusable argument slice; RunCall copies the
 	// values into the callee frame and does not retain the slice.
@@ -442,11 +442,10 @@ type engine struct {
 	// argKeys caches the per-(depth, param) input keys ("d0.x", …),
 	// which are pure functions of the toplevel signature and Depth.
 	argKeys [][]string
-	// ufbuf and verifybuf are scratch for the solver's independence
-	// slicing and full-conjunction verification (cleared on each use,
-	// nothing retained across calls).
-	ufbuf     map[symbolic.Var]symbolic.Var
-	verifybuf map[symbolic.Var]int64
+	// scratch is this engine's working memory for slicing and verifying
+	// flips, whichever engine built their Path (a parallel worker solves
+	// siblings that another worker indexed).
+	scratch solver.PathScratch
 
 	// Per-run state.
 	stack      []stackEntry
@@ -514,13 +513,18 @@ type engine struct {
 // searches own one outright; the parallel engine shares one across
 // workers so variable numbering (and therefore predicate rendering and
 // cache keys) means the same input everywhere.  Registration is
-// write-rare — each distinct input key registers once per search — so a
-// read-write mutex keeps the read paths (per-solve metadata, hints)
-// cheap.
+// write-rare — each distinct input key registers once per search — while
+// the per-variable reads sit on every flip, so the variable table is
+// published behind an atomic pointer and read without a lock; only the
+// key map and appends take mu.
 type varRegistry struct {
 	mu    sync.RWMutex
 	byKey map[string]symbolic.Var
-	vars  []varInfo
+	// vars is the published variable table.  Entries are immutable once
+	// appended, and an append writes only past every published length
+	// before the longer slice is published, so a loaded table is safe
+	// to read with no further synchronization.
+	vars atomic.Pointer[[]varInfo]
 }
 
 func newVarRegistry() *varRegistry {
@@ -545,26 +549,26 @@ func (r *varRegistry) varOf(key string, kind symbolic.VarKind, b *types.Basic) s
 	if r.byKey == nil {
 		r.byKey = map[string]symbolic.Var{}
 	}
-	v = symbolic.Var(len(r.vars))
+	vars := r.snapshot()
+	v = symbolic.Var(len(vars))
 	r.byKey[key] = v
-	r.vars = append(r.vars, varInfo{key: key, meta: domainOf(kind, b)})
+	vars = append(vars, varInfo{key: key, meta: domainOf(kind, b)})
+	r.vars.Store(&vars)
 	return v
 }
 
-// snapshot returns the current registered-variable prefix.  Entries are
-// immutable once appended and appends happen under the write lock, so
-// the returned slice is safe to read without further locking.
+// snapshot returns the current registered-variable table, without
+// locking.
 func (r *varRegistry) snapshot() []varInfo {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.vars
+	if p := r.vars.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // keyOf returns the input key of a registered variable.
 func (r *varRegistry) keyOf(v symbolic.Var) string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.vars[v].key
+	return r.snapshot()[v].key
 }
 
 // lookup resolves an input key back to its registered variable — the
@@ -579,16 +583,13 @@ func (r *varRegistry) lookup(key string) (symbolic.Var, bool) {
 
 // metaOf returns the solver domain of a registered variable.
 func (r *varRegistry) metaOf(v symbolic.Var) solver.VarMeta {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.vars[v].meta
+	return r.snapshot()[v].meta
 }
 
 // isPointer reports whether v identifies a pointer input.
 func (r *varRegistry) isPointer(v symbolic.Var) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return int(v) < len(r.vars) && r.vars[v].meta.Kind == symbolic.PointerVar
+	vars := r.snapshot()
+	return int(v) < len(vars) && vars[v].meta.Kind == symbolic.PointerVar
 }
 
 var errMispredicted = errors.New("execution diverged from predicted branch")

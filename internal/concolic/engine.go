@@ -149,25 +149,36 @@ func (e *engine) solveNext(branches []machine.BranchRec) bool {
 		ktry = len(branches)
 	}
 
+	var hint map[symbolic.Var]int64
 	for {
 		j := e.pickBranch(branches, ktry)
 		if j < 0 {
 			return false
 		}
-		// Path constraint prefix: predicates of conditionals before j,
-		// plus the negation of j's predicate.  Built in the engine's
-		// scratch buffer — the solver does not retain the slice.
-		pc := e.pcbuf[:0]
-		for i := 0; i < j; i++ {
-			if branches[i].HasPred {
-				pc = append(pc, branches[i].Pred)
+		if hint == nil {
+			// Index the run's path constraint once: every attempt below
+			// solves a prefix of it with its last predicate negated, and
+			// the input vector stays the run's until a flip succeeds.
+			e.path.Reset()
+			for _, rec := range branches[:ktry] {
+				if rec.HasPred {
+					e.path.Add(rec.Pred)
+				}
+			}
+			e.hintbuf = e.hint(&e.path, e.im, e.hintbuf)
+			hint = e.hintbuf
+		}
+		// The flip solves preds[:n] ∧ ¬preds[n]: n predicates precede
+		// conditional j's.
+		n := 0
+		for _, rec := range branches[:j] {
+			if rec.HasPred {
+				n++
 			}
 		}
-		pc = append(pc, branches[j].Pred.Negate())
-		e.pcbuf = pc[:0]
 
 		e.report.SolverCalls++
-		e.metrics.Observe(obs.HPCLen, int64(len(pc)))
+		e.metrics.Observe(obs.HPCLen, int64(n+1))
 		e.metrics.Observe(obs.HFrontierDepth, int64(j))
 		// Site/pos attribution for the profiler, the explainer, and the
 		// event stream: events carry the 1-based site index
@@ -181,9 +192,9 @@ func (e *engine) solveNext(branches []machine.BranchRec) bool {
 		var target string
 		if e.obs != nil {
 			target = flipPath(branches, j)
-			e.emit(obs.Event{Kind: obs.SolverCall, Run: e.report.Runs, Depth: j, PCLen: len(pc), Path: target, Site: site + 1})
+			e.emit(obs.Event{Kind: obs.SolverCall, Run: e.report.Runs, Depth: j, PCLen: n + 1, Path: target, Site: site + 1})
 		}
-		sol, verdict, work := e.solveIsolated(pc, j)
+		sol, verdict, work := e.solveIsolated(&e.path, n, hint, j)
 		if e.obs != nil {
 			ev := e.verdictEvent(j, verdict, work)
 			ev.Site = site + 1
@@ -254,22 +265,25 @@ func (e *engine) pickBranch(branches []machine.BranchRec, ktry int) int {
 	}
 }
 
-// hint exposes the current input vector as a variable assignment, used to
-// preserve don't-care inputs and to bias disequality splits.
-func (e *engine) hint() map[symbolic.Var]int64 {
-	vars := e.regs.snapshot()
-	if e.hintbuf == nil {
-		e.hintbuf = make(map[symbolic.Var]int64, len(vars))
+// hint exposes the input vector im as an assignment to path's
+// variables, used to preserve don't-care inputs and to bias disequality
+// splits.  A flip of path mentions no other variable, so none other can
+// reach its solve, key or verification.  into, when non-nil, is cleared
+// and reused.
+func (e *engine) hint(path *solver.Path, im map[string]int64, into map[symbolic.Var]int64) map[symbolic.Var]int64 {
+	pvars := path.Vars()
+	if into == nil {
+		into = make(map[symbolic.Var]int64, len(pvars))
 	} else {
-		clear(e.hintbuf)
+		clear(into)
 	}
-	h := e.hintbuf
-	for i := range vars {
-		if v, ok := e.im[vars[i].key]; ok {
-			h[symbolic.Var(i)] = v
+	vars := e.regs.snapshot()
+	for _, v := range pvars {
+		if x, ok := im[vars[v].key]; ok {
+			into[v] = x
 		}
 	}
-	return h
+	return into
 }
 
 // meta returns the solver domain of a variable.

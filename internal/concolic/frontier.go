@@ -34,22 +34,18 @@ import (
 // frontierItem is one pending flip: re-execute the recorded prefix with
 // the flip's predicate negated, then extend.
 type frontierItem struct {
-	// prefix is the expected branch outcome sequence up to and not
-	// including the flipped conditional (shared backing across children
-	// of one run).
-	prefix []bool
-	// preds are the prefix's path-constraint predicates (shared).
-	preds []symbolic.Pred
-	// flip is the negated predicate of the flipped conditional.
-	flip symbolic.Pred
+	// parent is the finished run the flip branches from, shared by all
+	// of that run's pending flips.
+	parent *parentRun
+	// n indexes the flipped conditional's predicate on parent.path: the
+	// flip solves preds[:n] ∧ ¬preds[n].
+	n int
 	// flipTaken is the branch outcome the flipped conditional must now
 	// show (the negation of what was observed).
 	flipTaken bool
-	// bound is the child generation's lower flip index.
-	bound int
-	// im is the input vector that drove the parent run.
-	im map[string]int64
-	// depth is the flip index (for BFS ordering).
+	// depth is the flip's branch index: the predicted prefix is
+	// parent.outcomes[:depth] (BFS orders by it), and the flipped run's
+	// own children flip only beyond it (the generational bound).
 	depth int
 	// site is the flipped conditional's branch site (-1 for shape
 	// decisions); pos its source position, filled only when the search
@@ -57,6 +53,17 @@ type frontierItem struct {
 	// solving worker no longer holds the parent run's branch records).
 	site int
 	pos  string
+}
+
+// parentRun is what the pending flips of one finished run share,
+// read-only once built: the run's branch outcomes, its indexed path
+// constraint, the input vector that drove it, and that vector as a hint
+// over the path's variables.
+type parentRun struct {
+	outcomes []bool
+	path     *solver.Path
+	im       map[string]int64
+	hint     map[symbolic.Var]int64
 }
 
 // claimBug reports whether this engine is the first in the search to
@@ -158,26 +165,23 @@ func (e *engine) recordRun(m *machine.Machine, rerr *machine.RunError) bool {
 
 // childItems builds the pending-flip children of a finished run: one
 // item per flippable conditional at index >= bound (the generational
-// expansion rule).  Prefix outcomes and predicates share one backing
-// array across all children of the run.
+// expansion rule).  The children share one parentRun: the run's path
+// constraint is indexed once for all of them.
+//
+// The run's input vector passes to the children without a copy: the
+// engine writes e.im only while running, and it replaces e.im (solveItem
+// on Sat, frontierRoot) before it runs again.
 func (e *engine) childItems(branches []machine.BranchRec, bound int) []frontierItem {
-	outcomes := make([]bool, len(branches))
-	var preds []symbolic.Pred
-	// predsBefore[i] = number of predicates among branches[0..i).
-	predsBefore := make([]int, len(branches)+1)
-	for i, rec := range branches {
-		outcomes[i] = rec.Taken
-		predsBefore[i] = len(preds)
-		if rec.HasPred {
-			preds = append(preds, rec.Pred)
-		}
-	}
-	predsBefore[len(branches)] = len(preds)
-	im := copyIM(e.im)
+	run := &parentRun{outcomes: make([]bool, len(branches)), path: solver.NewPath(len(branches)), im: e.im}
 	var kids []frontierItem
-	for j := bound; j < len(branches); j++ {
-		rec := branches[j]
+	for j, rec := range branches {
+		run.outcomes[j] = rec.Taken
 		if !rec.HasPred {
+			continue
+		}
+		n := run.path.Len()
+		run.path.Add(rec.Pred)
+		if j < bound {
 			continue
 		}
 		if rec.Decision && !rec.Taken && e.decisionDepth(rec) >= e.opts.MaxShapeDepth {
@@ -191,16 +195,16 @@ func (e *engine) childItems(branches []machine.BranchRec, bound int) []frontierI
 			pos = rec.Pos.String()
 		}
 		kids = append(kids, frontierItem{
-			prefix:    outcomes[:j],
-			preds:     preds[:predsBefore[j]:predsBefore[j]],
-			flip:      rec.Pred.Negate(),
+			parent:    run,
+			n:         n,
 			flipTaken: !rec.Taken,
-			bound:     j + 1,
-			im:        im,
 			depth:     j,
 			site:      rec.Site,
 			pos:       pos,
 		})
+	}
+	if len(kids) > 0 {
+		run.hint = e.hint(run.path, run.im, nil)
 	}
 	return kids
 }
@@ -237,17 +241,19 @@ func (e *engine) noteDropped(items []frontierItem) {
 // (false), accounting solver failures and completeness exactly like the
 // classic engine.
 func (e *engine) solveItem(item frontierItem) bool {
-	pc := append(append([]symbolic.Pred{}, item.preds...), item.flip)
+	run := item.parent
 	e.report.SolverCalls++
-	e.metrics.Observe(obs.HPCLen, int64(len(pc)))
+	e.metrics.Observe(obs.HPCLen, int64(item.n+1))
 	e.metrics.Observe(obs.HFrontierDepth, int64(item.depth))
-	e.im = copyIM(item.im)
+	// The parent's input vector is only read while the flip is solved;
+	// it is copied on Sat, when a run follows.
+	e.im = run.im
 	var target string
 	if e.obs != nil {
 		target = itemPath(item)
-		e.emit(obs.Event{Kind: obs.SolverCall, Run: e.report.Runs, Depth: item.depth, PCLen: len(pc), Path: target, Site: item.site + 1})
+		e.emit(obs.Event{Kind: obs.SolverCall, Run: e.report.Runs, Depth: item.depth, PCLen: item.n + 1, Path: target, Site: item.site + 1})
 	}
-	sol, verdict, work := e.solveIsolated(pc, item.depth)
+	sol, verdict, work := e.solveIsolated(run.path, item.n, run.hint, item.depth)
 	if e.obs != nil {
 		ev := e.verdictEvent(item.depth, verdict, work)
 		ev.Site = item.site + 1
@@ -269,13 +275,15 @@ func (e *engine) solveItem(item frontierItem) bool {
 	if e.obs != nil {
 		e.emit(obs.Event{Kind: obs.BranchFlip, Run: e.report.Runs, Depth: item.depth, Path: target, Site: item.site + 1})
 	}
+	e.im = copyIM(run.im)
 	for v, val := range sol {
 		e.im[e.regs.keyOf(v)] = val
 	}
 
 	// Predict the prefix plus the flipped branch.
-	e.stack = make([]stackEntry, 0, len(item.prefix)+1)
-	for _, b := range item.prefix {
+	prefix := run.outcomes[:item.depth]
+	e.stack = make([]stackEntry, 0, len(prefix)+1)
+	for _, b := range prefix {
 		e.stack = append(e.stack, stackEntry{branch: b, done: true})
 	}
 	e.stack = append(e.stack, stackEntry{branch: item.flipTaken, done: true})
@@ -322,7 +330,7 @@ func (e *engine) processItem(item frontierItem) (kids []frontierItem, cont bool)
 		}
 		return nil, true // an imprecise prefix; the item is abandoned
 	}
-	return e.childItems(m.Branches, item.bound), true
+	return e.childItems(m.Branches, item.depth+1), true
 }
 
 // frontierRoot performs the fresh-random root executions of a frontier
@@ -425,11 +433,12 @@ func (e *engine) enqueue(queue []frontierItem, kids []frontierItem) []frontierIt
 // prefix outcomes followed by the flipped branch outcome, as a bit
 // string aligned with RunEnd path encoding.
 func itemPath(item frontierItem) string {
-	b := make([]byte, len(item.prefix)+1)
-	for i, taken := range item.prefix {
+	prefix := item.parent.outcomes[:item.depth]
+	b := make([]byte, len(prefix)+1)
+	for i, taken := range prefix {
 		b[i] = pathBit(taken)
 	}
-	b[len(item.prefix)] = pathBit(item.flipTaken)
+	b[len(prefix)] = pathBit(item.flipTaken)
 	return string(b)
 }
 

@@ -139,9 +139,10 @@ func (e *engine) noteFault(f *InternalError) bool {
 // The fast path runs in three steps, identical whether the cache is on
 // or off so a fixed seed produces the identical Report at any setting:
 //
-//  1. Slice: reduce pc to the connected component of its final
-//     (negated) predicate, in pc's own order; the pruned predicates
-//     depend only on variables the solve will not touch, whose concrete
+//  1. Slice: reduce the flip constraint preds[:n] ∧ ¬preds[n] of the
+//     run's indexed path to the connected component of its final
+//     (negated) predicate, in path order; the pruned predicates depend
+//     only on variables the solve will not touch, whose concrete
 //     parent-run values IM + IM' preserves.
 //  2. Solve the slice — from the cache when an identical (slice, hint)
 //     key was solved before this search, else the solver, memoizing the
@@ -169,7 +170,7 @@ func (e *engine) noteFault(f *InternalError) bool {
 // memoized on its second occurrence instead of its first).
 const solveCacheWarmup = 8
 
-func (e *engine) solveIsolated(pc []symbolic.Pred, depth int) (sol map[symbolic.Var]int64, verdict solver.Verdict, work int64) {
+func (e *engine) solveIsolated(path *solver.Path, n int, hint map[symbolic.Var]int64, depth int) (sol map[symbolic.Var]int64, verdict solver.Verdict, work int64) {
 	e.lastSolve = solveInfo{}
 	defer func() {
 		if r := recover(); r != nil {
@@ -185,15 +186,11 @@ func (e *engine) solveIsolated(pc []symbolic.Pred, depth int) (sol map[symbolic.
 		}
 	}()
 
-	hint := e.hint()
 	var t0 time.Time
 	if e.prof != nil {
 		t0 = time.Now()
 	}
-	if e.ufbuf == nil {
-		e.ufbuf = map[symbolic.Var]symbolic.Var{}
-	}
-	slice, pruned := solver.CanonicalSliceScratch(pc, e.ufbuf)
+	slice, pruned := path.Slice(n, &e.scratch)
 	if e.prof != nil {
 		e.prof.Span(obs.SpanSlice, time.Since(t0))
 	}
@@ -222,7 +219,7 @@ func (e *engine) solveIsolated(pc []symbolic.Pred, depth int) (sol map[symbolic.
 			if verdict == solver.Unsat && e.exp != nil {
 				e.lastSolve.unsatSlice = symbolic.PathConstraint(slice).StringNamed(e.varName)
 			}
-			if verdict == solver.Sat && pruned > 0 && !e.verifyTimed(pc, sol, hint) {
+			if verdict == solver.Sat && pruned > 0 && !e.verifyTimed(path, n, sol, hint) {
 				sol, verdict = nil, solver.Unsat
 				e.report.SolverComplete = false
 			}
@@ -270,7 +267,7 @@ func (e *engine) solveIsolated(pc []symbolic.Pred, depth int) (sol map[symbolic.
 					e.lastSolve.evicted = true
 				}
 			}
-			if verdict == solver.Sat && pruned > 0 && !e.verifyTimed(pc, sol, hint) {
+			if verdict == solver.Sat && pruned > 0 && !e.verifyTimed(path, n, sol, hint) {
 				sol, verdict = nil, solver.Unsat
 				e.report.SolverComplete = false
 			}
@@ -318,7 +315,7 @@ func (e *engine) solveIsolated(pc []symbolic.Pred, depth int) (sol map[symbolic.
 		// process inherits this solve.
 		e.persist.PutPortable(pkey, verdict, e.namedModel(sol))
 	}
-	if verdict == solver.Sat && pruned > 0 && !e.verifyTimed(pc, sol, hint) {
+	if verdict == solver.Sat && pruned > 0 && !e.verifyTimed(path, n, sol, hint) {
 		// The slice's model fails the full conjunction under
 		// overflow-checked evaluation: the parent run's concrete values
 		// reached here through a wrap the solver's exact arithmetic
@@ -370,17 +367,14 @@ func (e *engine) namedModel(sol map[symbolic.Var]int64) map[string]int64 {
 	return out
 }
 
-// verifyTimed is VerifyAssignment under the profiler's verify span (a
-// plain passthrough when profiling is off).
-func (e *engine) verifyTimed(pc []symbolic.Pred, sol, hint map[symbolic.Var]int64) bool {
-	if e.verifybuf == nil {
-		e.verifybuf = map[symbolic.Var]int64{}
-	}
+// verifyTimed is Path.Verify under the profiler's verify span (a plain
+// passthrough when profiling is off).
+func (e *engine) verifyTimed(path *solver.Path, n int, sol, hint map[symbolic.Var]int64) bool {
 	if e.prof == nil {
-		return solver.VerifyAssignmentScratch(pc, e.meta, sol, hint, e.verifybuf)
+		return path.Verify(n, e.meta, sol, hint, &e.scratch)
 	}
 	t0 := time.Now()
-	ok := solver.VerifyAssignmentScratch(pc, e.meta, sol, hint, e.verifybuf)
+	ok := path.Verify(n, e.meta, sol, hint, &e.scratch)
 	e.prof.Span(obs.SpanVerify, time.Since(t0))
 	return ok
 }

@@ -194,7 +194,7 @@ func TestLiveProfileFold(t *testing.T) {
 	l.Event(Event{Kind: SolverVerdict, Fn: "f", Site: 1, Verdict: "budget-exhausted", Work: 100})
 	l.Event(Event{Kind: BranchFlip, Fn: "f", Site: 3})
 	l.Event(Event{Kind: SolverVerdict, Fn: "f", Verdict: "sat", Work: 9}) // unattributed: ignored
-	l.Event(Event{Kind: RunEnd, Fn: "f", Site: 3})                       // wrong kind: ignored
+	l.Event(Event{Kind: RunEnd, Fn: "f", Site: 3})                        // wrong kind: ignored
 
 	snap := l.Snapshot()
 	if len(snap.Sites) != 2 {

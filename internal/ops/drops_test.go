@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,7 +27,11 @@ func TestRingSeqGapsMatchDrops(t *testing.T) {
 	const producers = 4
 	const perProducer = 3000
 	r := newRing(32)
+	// Subscribe before the producers start: events published before a
+	// subscription are neither received nor dropped.
+	sub := r.subscribe()
 	var wg sync.WaitGroup
+	var stop atomic.Bool
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
 		go func() {
@@ -36,7 +41,6 @@ func TestRingSeqGapsMatchDrops(t *testing.T) {
 			}
 		}()
 	}
-	sub := r.subscribe()
 	var received, gaps uint64
 	var lastSeq int64 = -1
 	done := make(chan struct{})
@@ -45,10 +49,11 @@ func TestRingSeqGapsMatchDrops(t *testing.T) {
 		for {
 			ev, ok := sub.next()
 			if !ok {
-				if r.published() != uint64(producers*perProducer) {
+				if !stop.Load() {
 					continue
 				}
-				// All publishes visible; a final empty read means drained.
+				// Producers are finished and their publishes are
+				// visible; a final empty read means fully drained.
 				if ev, ok = sub.next(); !ok {
 					return
 				}
@@ -59,6 +64,7 @@ func TestRingSeqGapsMatchDrops(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+	stop.Store(true)
 	<-done
 
 	total := uint64(producers * perProducer)

@@ -107,8 +107,11 @@ func (s *subscriber) next() (ev obs.Event, ok bool) {
 		seq := slot.seq.Load()
 		switch {
 		case seq == s.cursor+1:
+			// A producer a lap ahead stores its event before its seq, so
+			// the slot's seq can still name this ticket while ev already
+			// holds a later one: trust the event's own stamp.
 			p := slot.ev.Load()
-			if slot.seq.Load() != s.cursor+1 {
+			if p.Seq != s.cursor {
 				// Overwritten between the check and the load; the event
 				// for this ticket is unrecoverable.
 				s.dropped++

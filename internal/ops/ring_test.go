@@ -81,6 +81,10 @@ func TestRingConcurrentAccounting(t *testing.T) {
 	const producers = 4
 	const perProducer = 5000
 	r := newRing(64)
+	// Subscribe before any producer starts: history published before a
+	// subscription is not a drop, so a late subscriber would see neither
+	// receipt nor drop for the events it never owned.
+	sub := r.subscribe()
 	var wg sync.WaitGroup
 	var stop atomic.Bool
 	for p := 0; p < producers; p++ {
@@ -95,7 +99,6 @@ func TestRingConcurrentAccounting(t *testing.T) {
 	received := uint64(0)
 	var lastSeq int64 = -1
 	done := make(chan struct{})
-	sub := r.subscribe()
 	go func() {
 		defer close(done)
 		for {

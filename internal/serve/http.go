@@ -332,11 +332,11 @@ func (j *Job) envelope() jobEnvelope {
 		CacheSource: j.cacheSrc,
 		CorpusHits:  j.corpusHits,
 		StopReason:  j.stopReason,
-		Error:      j.errMsg,
-		Retries:    j.retries,
-		Report:     json.RawMessage(j.report),
-		Profile:    j.profile,
-		Explain:    j.explain,
+		Error:       j.errMsg,
+		Retries:     j.retries,
+		Report:      json.RawMessage(j.report),
+		Profile:     j.profile,
+		Explain:     j.explain,
 	}
 	switch j.state {
 	case StateDone:

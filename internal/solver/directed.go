@@ -4,7 +4,8 @@
 // DART's inner loop (Fig. 5 / Sec. 3.3) solves the path-constraint
 // prefix with only the final predicate negated, so successive solver
 // calls see highly redundant conjunctions.  Two classic reductions make
-// this cheap without changing any result:
+// this cheap without changing any result, both done per flip from the
+// run's one Path index (path.go):
 //
 //   - Independence slicing.  Partition the conjunction into connected
 //     components under the "shares a variable" relation and hand the
@@ -31,7 +32,7 @@
 //
 // Soundness is preserved by construction: the package-doc contract that
 // every returned assignment is verified against the original predicates
-// is re-established at the full-conjunction level by VerifyAssignment,
+// is re-established at the full-conjunction level by Path.Verify,
 // which callers run against the *unsliced* constraint (overflow-checked)
 // whenever slicing actually pruned predicates.  (When nothing was
 // pruned, the solver's own final verification already covered the full
@@ -44,131 +45,6 @@ import (
 
 	"dart/internal/symbolic"
 )
-
-// CanonicalSlice returns the connected component of pc containing its
-// final predicate (the negated branch of Fig. 5), preserving pc's
-// predicate order, plus the number of predicates pruned away.
-// Components are computed under the "shares a variable" relation (zero
-// coefficients ignored); variable-free predicates belong to no component
-// and are pruned unless they are the target itself.  When any predicate
-// is outside the theory (nil form), pc is returned unchanged so the
-// solver reports the failure on the full conjunction, exactly as
-// without slicing.
-//
-// When nothing is pruned the returned slice is pc itself; callers must
-// not mutate it.
-func CanonicalSlice(pc []symbolic.Pred) (slice []symbolic.Pred, pruned int) {
-	return CanonicalSliceScratch(pc, nil)
-}
-
-// CanonicalSliceScratch is CanonicalSlice with caller-provided union-find
-// scratch: parent (if non-nil) is cleared and reused, so a search's many
-// slicing calls share one map.  The scratch holds nothing after return.
-func CanonicalSliceScratch(pc []symbolic.Pred, parent map[symbolic.Var]symbolic.Var) (slice []symbolic.Pred, pruned int) {
-	if len(pc) <= 1 {
-		return pc, 0
-	}
-	for _, p := range pc {
-		if p.L == nil {
-			return pc, 0
-		}
-	}
-
-	if len(pc) == 2 {
-		// Depth-one prefixes are the overwhelmingly common non-trivial
-		// case; decide them with a direct scan instead of union-find.
-		for v, c := range pc[1].L.Coeffs {
-			if c != 0 && pc[0].L.Coeff(v) != 0 {
-				return pc, 0
-			}
-		}
-		// No shared variable (or a variable-free target): the prefix
-		// predicate is outside the component and is pruned.
-		return pc[1:], 1
-	}
-
-	// Union-find over variables; each predicate unions its variables.
-	// (Iterative find: no closure allocations on the solve path.  Any
-	// root choice yields the same partition, which is all the slice
-	// depends on.)
-	if parent == nil {
-		parent = map[symbolic.Var]symbolic.Var{}
-	} else {
-		clear(parent)
-	}
-	find := func(v symbolic.Var) symbolic.Var {
-		r, ok := parent[v]
-		if !ok {
-			parent[v] = v
-			return v
-		}
-		for r != parent[r] {
-			parent[r] = parent[parent[r]]
-			r = parent[r]
-		}
-		parent[v] = r
-		return r
-	}
-	for _, p := range pc {
-		var first symbolic.Var
-		seen := false
-		for v, c := range p.L.Coeffs {
-			if c == 0 {
-				continue
-			}
-			if !seen {
-				first, seen = v, true
-				find(v)
-				continue
-			}
-			ra, rb := find(first), find(v)
-			if ra != rb {
-				parent[ra] = rb
-			}
-		}
-	}
-
-	target := pc[len(pc)-1]
-	var targetRoot symbolic.Var
-	targetHasVars := false
-	for v, c := range target.L.Coeffs {
-		if c != 0 {
-			targetRoot, targetHasVars = find(v), true
-			break
-		}
-	}
-	if !targetHasVars {
-		// A constant target shares no variables with anything; solving it
-		// alone decides the flip, and VerifyAssignment still re-checks the
-		// pruned prefix.
-		return pc[len(pc)-1:], len(pc) - 1
-	}
-
-	inComponent := func(p symbolic.Pred) bool {
-		for v, c := range p.L.Coeffs {
-			if c != 0 && find(v) == targetRoot {
-				return true
-			}
-		}
-		return false
-	}
-	kept := 0
-	for _, p := range pc {
-		if inComponent(p) {
-			kept++
-		}
-	}
-	if kept == len(pc) {
-		return pc, 0
-	}
-	slice = make([]symbolic.Pred, 0, kept)
-	for _, p := range pc {
-		if inComponent(p) {
-			slice = append(slice, p)
-		}
-	}
-	return slice, len(pc) - len(slice)
-}
 
 // CacheKey is the identity of one sliced solve: the slice's predicates
 // rendered in solve order, plus the hint values of every variable they
@@ -254,67 +130,4 @@ func predKey(p symbolic.Pred) string {
 	var b strings.Builder
 	appendPredKey(&b, p, nil)
 	return b.String()
-}
-
-// VerifyAssignment reports whether sol, completed by hint for variables
-// it does not assign, satisfies every predicate of the full conjunction
-// pc.  Integer predicates are evaluated with overflow checking (a
-// wrapping evaluation counts as unsatisfied); pointer predicates must be
-// definitely true under three-valued evaluation; predicates outside the
-// theory, or mixing pointer and scalar variables, fail conservatively —
-// the same classes the solver itself refuses.  Callers of sliced solves
-// run this against the unsliced constraint whenever predicates were
-// pruned, re-establishing the package-doc soundness contract at the
-// full-conjunction level.
-func VerifyAssignment(pc []symbolic.Pred, meta func(symbolic.Var) VarMeta, sol, hint map[symbolic.Var]int64) bool {
-	return VerifyAssignmentScratch(pc, meta, sol, hint, nil)
-}
-
-// VerifyAssignmentScratch is VerifyAssignment with a caller-provided
-// scratch map for the completed assignment: assign (if non-nil) is
-// cleared and reused, so a search's many verifications share one map.
-// The scratch holds nothing the caller must preserve after return.
-func VerifyAssignmentScratch(pc []symbolic.Pred, meta func(symbolic.Var) VarMeta, sol, hint, assign map[symbolic.Var]int64) bool {
-	if assign != nil {
-		clear(assign)
-	}
-	for _, p := range pc {
-		if p.L == nil {
-			return false
-		}
-		if assign == nil {
-			assign = make(map[symbolic.Var]int64, len(sol)+8)
-		}
-		hasPtr, hasScalar := false, false
-		for v, c := range p.L.Coeffs {
-			if c == 0 {
-				continue
-			}
-			if meta(v).Kind == symbolic.PointerVar {
-				hasPtr = true
-			} else {
-				hasScalar = true
-			}
-			if _, ok := assign[v]; !ok {
-				if x, ok := sol[v]; ok {
-					assign[v] = x
-				} else {
-					assign[v] = hint[v]
-				}
-			}
-		}
-		switch {
-		case hasPtr && hasScalar:
-			return false
-		case hasPtr:
-			if evalPtrPred(symbolic.Pred{L: stripZeros(p.L), Rel: p.Rel}, assign) != triTrue {
-				return false
-			}
-		default:
-			if !holdsChecked(p, assign) {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -339,15 +339,20 @@ func solvePointers(preds []symbolic.Pred, vars map[symbolic.Var]bool, hint map[s
 //     sign, so == is false and != is true;
 //   - anything else: unknown.
 func evalPtrPred(p symbolic.Pred, assign map[symbolic.Var]int64) tri {
-	k := p.L.Const
-	pos, neg := 0, 0
-	allocCoeffs := []int64{}
-	for v := range p.L.Coeffs {
-		if assign[v] == PtrNull {
-			continue
+	var alloc []int64
+	for v, c := range p.L.Coeffs {
+		if assign[v] != PtrNull {
+			alloc = append(alloc, c)
 		}
-		c := p.L.Coeff(v)
-		allocCoeffs = append(allocCoeffs, c)
+	}
+	return ptrTruth(p.L.Const, p.Rel, alloc)
+}
+
+// ptrTruth is evalPtrPred over the form's constant k and the
+// coefficients of its allocated (non-NULL) variables.
+func ptrTruth(k int64, rel symbolic.Rel, alloc []int64) tri {
+	pos, neg := 0, 0
+	for _, c := range alloc {
 		if c > 0 {
 			pos++
 		} else {
@@ -355,17 +360,17 @@ func evalPtrPred(p symbolic.Pred, assign map[symbolic.Var]int64) tri {
 		}
 	}
 	switch {
-	case len(allocCoeffs) == 0:
-		return defTruth(cmpInt(k, p.Rel))
+	case len(alloc) == 0:
+		return defTruth(cmpInt(k, rel))
 	case pos > 0 && neg == 0:
-		return defTruth(cmpInf(+1, p.Rel))
+		return defTruth(cmpInf(+1, rel))
 	case neg > 0 && pos == 0:
-		return defTruth(cmpInf(-1, p.Rel))
-	case len(allocCoeffs) == 2 && k == 0 &&
-		((allocCoeffs[0] == 1 && allocCoeffs[1] == -1) ||
-			(allocCoeffs[0] == -1 && allocCoeffs[1] == 1)):
+		return defTruth(cmpInf(-1, rel))
+	case len(alloc) == 2 && k == 0 &&
+		((alloc[0] == 1 && alloc[1] == -1) ||
+			(alloc[0] == -1 && alloc[1] == 1)):
 		// a - b with distinct allocations: nonzero, unknown sign.
-		switch p.Rel {
+		switch rel {
 		case symbolic.EQ:
 			return triFalse
 		case symbolic.NE:

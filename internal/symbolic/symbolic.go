@@ -284,11 +284,11 @@ func (l *Lin) Eval(assign map[Var]int64) int64 {
 func (l *Lin) EvalChecked(assign map[Var]int64) (total int64, ok bool) {
 	total = l.Const
 	for v, k := range l.Coeffs {
-		p, ok := checkedMul(k, assign[v])
+		p, ok := CheckedMul(k, assign[v])
 		if !ok {
 			return 0, false
 		}
-		total, ok = checkedAdd(total, p)
+		total, ok = CheckedAdd(total, p)
 		if !ok {
 			return 0, false
 		}
@@ -371,10 +371,10 @@ func mulOverflow(a, b int64) (int64, bool) {
 	return p, true
 }
 
-// checkedAdd and checkedMul are exact overflow-detecting int64 ops for
-// EvalChecked.  Unlike mulOverflow they also reject MinInt64 * -1 (whose
+// CheckedAdd and CheckedMul are exact overflow-detecting int64 ops for
+// EvalChecked and the solver's flat-term verification.  Unlike mulOverflow they also reject MinInt64 * -1 (whose
 // quotient check passes by two's-complement wraparound).
-func checkedAdd(a, b int64) (int64, bool) {
+func CheckedAdd(a, b int64) (int64, bool) {
 	s := a + b
 	if (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0) {
 		return 0, false
@@ -382,7 +382,7 @@ func checkedAdd(a, b int64) (int64, bool) {
 	return s, true
 }
 
-func checkedMul(a, b int64) (int64, bool) {
+func CheckedMul(a, b int64) (int64, bool) {
 	if a == 0 || b == 0 {
 		return 0, true
 	}

@@ -6,6 +6,10 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# Format gate: any Go file gofmt would rewrite fails the check (the
+# benchmark's build directory holds third-party module sources).
+unformatted=$(find . -name '*.go' -not -path './.bench_build/*' -exec gofmt -l {} +)
+test -z "$unformatted"
 # Trace-golden gate: the fixed-seed E1 trace must stay byte-identical
 # (regenerate deliberately with `go test -run TestTraceGolden -update .`).
 go test -run 'TestTraceGolden' .
