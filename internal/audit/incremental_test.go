@@ -13,6 +13,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"dart/internal/concolic"
@@ -113,12 +115,10 @@ func TestAuditWarmMatchesCold(t *testing.T) {
 	}
 }
 
-// TestAuditStaleHashResearchesOnlyChanged mutates one function between
-// audits: only it (and functions whose hash folds it as a callee) may
-// re-search; the rest must stay corpus hits even though the edit
-// shifted every global site number after it.
-func TestAuditStaleHashResearchesOnlyChanged(t *testing.T) {
-	before := `
+// staleBefore and staleAfter are one library before and after an edit:
+// beta gains a conditional, so its hash changes and every later global
+// site number shifts; alpha and gamma are untouched.
+const staleBefore = `
 int alpha(int x) {
     if (x > 5) return 1;
     return 0;
@@ -134,9 +134,8 @@ int gamma(int x, int y) {
     return 0;
 }
 `
-	// beta gains a conditional: its hash changes and every later global
-	// site number shifts; alpha and gamma are untouched.
-	after := `
+
+const staleAfter = `
 int alpha(int x) {
     if (x > 5) return 1;
     return 0;
@@ -153,6 +152,38 @@ int gamma(int x, int y) {
     return 0;
 }
 `
+
+// missLog records "fn:reason" for every CorpusMiss event; audit workers
+// emit concurrently, so appends are locked.
+type missLog struct {
+	mu      sync.Mutex
+	reasons []string
+}
+
+func (l *missLog) sink() obs.Sink {
+	return obs.SinkFunc(func(ev obs.Event) {
+		if ev.Kind == obs.CorpusMiss {
+			l.mu.Lock()
+			l.reasons = append(l.reasons, ev.Fn+":"+ev.Reason)
+			l.mu.Unlock()
+		}
+	})
+}
+
+// sorted returns the recorded misses in a schedule-independent order.
+func (l *missLog) sorted() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := append([]string(nil), l.reasons...)
+	sort.Strings(out)
+	return out
+}
+
+// TestAuditStaleHashResearchesOnlyChanged mutates one function between
+// audits: only it (and functions whose hash folds it as a callee) may
+// re-search; the rest must stay corpus hits even though the edit
+// shifted every global site number after it.
+func TestAuditStaleHashResearchesOnlyChanged(t *testing.T) {
 	c, err := corpus.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -163,22 +194,18 @@ int gamma(int x, int y) {
 		MaxRuns:   100,
 		Corpus:    c,
 	}
-	cold := Run(compile(t, before), opts)
+	cold := Run(compile(t, staleBefore), opts)
 	if cold.CorpusStores != 3 {
 		t.Fatalf("cold stored %d entries, want 3", cold.CorpusStores)
 	}
 
-	var reasons []string
-	opts.Observer = obs.SinkFunc(func(ev obs.Event) {
-		if ev.Kind == obs.CorpusMiss {
-			reasons = append(reasons, ev.Fn+":"+ev.Reason)
-		}
-	})
-	warm := Run(compile(t, after), opts)
+	var misses missLog
+	opts.Observer = misses.sink()
+	warm := Run(compile(t, staleAfter), opts)
 	if warm.CorpusHits != 2 {
 		t.Errorf("warm hits = %d, want 2 (alpha, gamma)", warm.CorpusHits)
 	}
-	if len(reasons) != 1 || reasons[0] != "beta:hash-changed" {
+	if reasons := misses.sorted(); len(reasons) != 1 || reasons[0] != "beta:hash-changed" {
 		t.Errorf("miss reasons = %v, want [beta:hash-changed]", reasons)
 	}
 	for _, e := range warm.Entries {
@@ -251,20 +278,81 @@ func TestAuditOptionsSigGatesReplay(t *testing.T) {
 	Run(prog, opts)
 
 	opts.Seed = 2 // per-function seeds move; stored verdicts no longer apply
-	var reasons []string
-	opts.Observer = obs.SinkFunc(func(ev obs.Event) {
-		if ev.Kind == obs.CorpusMiss {
-			reasons = append(reasons, ev.Reason)
-		}
-	})
+	var misses missLog
+	opts.Observer = misses.sink()
 	warm := Run(prog, opts)
 	if warm.CorpusHits != 0 {
 		t.Errorf("hits = %d under a different seed, want 0", warm.CorpusHits)
 	}
-	for _, r := range reasons {
-		if r != "options-changed" {
-			t.Errorf("miss reason %q, want options-changed", r)
+	// Exactly one options-changed miss per function.
+	want := []string{"f:options-changed", "h:options-changed"}
+	if got := misses.sorted(); !reflect.DeepEqual(got, want) {
+		t.Errorf("misses = %v, want %v", got, want)
+	}
+}
+
+// TestWarmAuditSkipsSolveLog: the solve log is read on first use, so a
+// fully warm audit over a corpus whose log holds garbage answers every
+// function from its entry and never notes the garbage; a run that
+// re-searches one changed function consults the log and notes it.
+func TestWarmAuditSkipsSolveLog(t *testing.T) {
+	dir := t.TempDir()
+	c, err := corpus.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{
+		Toplevels: []string{"alpha", "beta", "gamma"},
+		Seed:      3,
+		MaxRuns:   100,
+		Corpus:    c,
+	}
+	if cold := Run(compile(t, staleBefore), opts); cold.CorpusStores != 3 {
+		t.Fatalf("cold stored %d entries, want 3", cold.CorpusStores)
+	}
+	log, err := os.OpenFile(filepath.Join(dir, "solve.log"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.WriteString("not a solve record\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	solveLogNotes := func(r *Result) []string {
+		var out []string
+		for _, n := range r.CorpusNotes {
+			if strings.Contains(n, "solve log") {
+				out = append(out, n)
+			}
 		}
+		return out
+	}
+
+	reopen := func() *corpus.Corpus {
+		c, err := corpus.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	opts.Corpus = reopen()
+	warm := Run(compile(t, staleBefore), opts)
+	if warm.CorpusHits != 3 {
+		t.Errorf("warm hits = %d, want 3", warm.CorpusHits)
+	}
+	if notes := solveLogNotes(warm); len(notes) != 0 {
+		t.Errorf("fully warm audit read the solve log: %v", notes)
+	}
+
+	opts.Corpus = reopen()
+	changed := Run(compile(t, staleAfter), opts)
+	if changed.CorpusHits != 2 {
+		t.Errorf("changed-library hits = %d, want 2 (alpha, gamma)", changed.CorpusHits)
+	}
+	if notes := solveLogNotes(changed); len(notes) != 1 || !strings.Contains(notes[0], "discarded 1 corrupt line") {
+		t.Errorf("re-search did not read and note the corrupt log: %v", changed.CorpusNotes)
 	}
 }
 

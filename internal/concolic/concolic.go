@@ -594,8 +594,9 @@ func (r *varRegistry) isPointer(v symbolic.Var) bool {
 
 var errMispredicted = errors.New("execution diverged from predicted branch")
 
-// compileFor lowers prog once for a search's execution engines; nil
-// selects the reference tree-walking interpreter.
+// compileFor builds prog's compiled form for a search's execution
+// engines, which lower each function on its first call; nil selects the
+// reference tree-walking interpreter.
 func compileFor(prog *ir.Prog, o Options) *machine.Compiled {
 	if o.Interpreter {
 		return nil

@@ -332,9 +332,10 @@ func runParallel(prog *ir.Prog, o Options, start time.Time) *Report {
 	if tl != nil {
 		shared.cov = coverage.New(prog.NumSites)
 	}
-	// One compiled program image serves every worker: a Compiled is
-	// immutable after Compile, so sharing is race-free (the machine-pool
-	// race gate in scripts/check.sh holds it to that).
+	// One compiled program image serves every worker: a Compiled lowers
+	// each function once, under a per-function sync.Once, so sharing is
+	// race-free (the machine-pool race gate in scripts/check.sh holds it
+	// to that).
 	code := compileFor(prog, o)
 	// One run recorder (internally locked) spans the pool: the distilled
 	// suite must cover the union coverage, which no per-worker log sees.

@@ -44,6 +44,10 @@ const entryVersion = "dartcorpus1"
 type Corpus struct {
 	dir string
 
+	// loadSolves reads the solve log into solves on first use
+	// (solvelog.go).
+	loadSolves sync.Once
+
 	mu sync.Mutex
 	// solves is the in-memory image of the persistent solve log; pending
 	// holds records appended since the last Flush.
@@ -54,18 +58,17 @@ type Corpus struct {
 	notes []string
 }
 
-// Open opens (creating if needed) the corpus rooted at dir and loads
-// the persistent solve log.  Corrupt artifacts found during the load
-// are discarded and reported via Notes, never as an error.
+// Open opens (creating if needed) the corpus rooted at dir.  The
+// persistent solve log is read on first use, not here.  Corrupt
+// artifacts found by any later load are discarded and reported via
+// Notes, never as an error.
 func Open(dir string) (*Corpus, error) {
 	for _, d := range []string{dir, filepath.Join(dir, "fn"), filepath.Join(dir, "reports")} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("corpus: %w", err)
 		}
 	}
-	c := &Corpus{dir: dir, solves: map[string]solver.PortableResult{}}
-	c.loadSolveLog()
-	return c, nil
+	return &Corpus{dir: dir, solves: map[string]solver.PortableResult{}}, nil
 }
 
 // Dir returns the corpus root.

@@ -6,9 +6,11 @@ package corpus
 // (with a diagnostic note), never to a wrong or missing verdict.
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"dart/internal/concolic"
@@ -269,6 +271,88 @@ func TestSolveLogTruncatedTail(t *testing.T) {
 	notes := strings.Join(c2.Notes(), "\n")
 	if !strings.Contains(notes, "discarded") {
 		t.Errorf("no discard note for the truncated tail: %q", notes)
+	}
+}
+
+// TestSolveLogReadOnFirstUse: Open does not read the solve log, and
+// neither do entry loads and stores; the first GetPortable does, and
+// only then is the corrupt line discarded and noted.
+func TestSolveLogReadOnFirstUse(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.PutPortable("key-a", solver.Sat, map[string]int64{"d0.x": 10})
+	if err := c.FlushSolves(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.OpenFile(filepath.Join(dir, "solve.log"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.WriteString("s1 00000000 garbage\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.StoreEntry(testEntry()); err != nil {
+		t.Fatal(err)
+	}
+	if e, reason := c2.LoadEntry("h"); e == nil {
+		t.Fatalf("LoadEntry miss: %s", reason)
+	}
+	if notes := c2.Notes(); len(notes) != 0 {
+		t.Fatalf("solve log read before first use: %v", notes)
+	}
+	if r, ok := c2.GetPortable("key-a"); !ok || r.Verdict != solver.Sat || r.Model["d0.x"] != 10 {
+		t.Errorf("key-a = %+v ok=%v", r, ok)
+	}
+	notes := strings.Join(c2.Notes(), "\n")
+	if !strings.Contains(notes, "discarded 1 corrupt line") {
+		t.Errorf("no discard note after first use: %q", notes)
+	}
+	if n := c2.SolveCount(); n != 1 {
+		t.Errorf("SolveCount = %d, want 1 (the garbage line is not a record)", n)
+	}
+
+	// First use from eight goroutines at once: every reader sees the
+	// loaded record, and the log is read exactly once.
+	c3, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			switch g % 3 {
+			case 0:
+				if _, ok := c3.GetPortable("key-a"); !ok {
+					t.Error("concurrent first use: key-a missing")
+				}
+			case 1:
+				c3.PutPortable(fmt.Sprintf("key-%d", g), solver.Unsat, nil)
+			default:
+				if n := c3.SolveCount(); n < 1 {
+					t.Errorf("concurrent first use: SolveCount = %d", n)
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if notes := c3.Notes(); len(notes) != 1 {
+		t.Errorf("log read %d times under concurrent first use, want once: %v", len(notes), notes)
 	}
 }
 

@@ -1,12 +1,13 @@
 // The persistent solve cache: an append-only, checksummed log of
 // portable solver results layered under the engines' in-memory LRU.
-// Each line is "s1 <crc32-hex> <json>\n"; the whole log is loaded at
-// Open (bad lines — truncated tails from a crash, flipped bytes,
-// records from an unknown format version — are skipped and noted, never
-// trusted), served from memory during the audit, and new solves are
-// appended on Flush.  Append-only keeps the flush path crash-tolerant:
-// an interrupted append corrupts at most the final line, which the next
-// load discards.
+// Each line is "s1 <crc32-hex> <json>\n".  The whole log is read on
+// first use (the first GetPortable, PutPortable or SolveCount), so an
+// audit answered entirely from corpus entries never reads it.  Bad
+// lines — truncated tails from a crash, flipped bytes, records from an
+// unknown format version — are skipped and noted, never trusted; the
+// rest is served from memory, and new solves are appended on Flush.
+// Append-only keeps the flush path crash-tolerant: an interrupted
+// append corrupts at most the final line, which the next load discards.
 package corpus
 
 import (
@@ -36,8 +37,8 @@ type solveRecord struct {
 
 func (c *Corpus) solveLogPath() string { return filepath.Join(c.dir, "solve.log") }
 
-// loadSolveLog populates the in-memory image from disk (called once by
-// Open, before the Corpus is shared).
+// loadSolveLog populates the in-memory image from disk.  It runs once,
+// under c.loadSolves; every reader of c.solves waits for it there.
 func (c *Corpus) loadSolveLog() {
 	f, err := os.Open(c.solveLogPath())
 	if err != nil {
@@ -91,6 +92,7 @@ func parseSolveLine(line string) (solveRecord, bool) {
 
 // GetPortable implements solver.PersistentCache.
 func (c *Corpus) GetPortable(key string) (solver.PortableResult, bool) {
+	c.loadSolves.Do(c.loadSolveLog)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r, ok := c.solves[key]
@@ -101,6 +103,7 @@ func (c *Corpus) GetPortable(key string) (solver.PortableResult, bool) {
 // in memory and queued for the next FlushSolves; re-puts of a known key
 // are dropped (equal by solver determinism).
 func (c *Corpus) PutPortable(key string, verdict solver.Verdict, model map[string]int64) {
+	c.loadSolves.Do(c.loadSolveLog)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, exists := c.solves[key]; exists {
@@ -112,6 +115,7 @@ func (c *Corpus) PutPortable(key string, verdict solver.Verdict, model map[strin
 
 // SolveCount returns how many distinct solves the cache holds.
 func (c *Corpus) SolveCount() int {
+	c.loadSolves.Do(c.loadSolveLog)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.solves)

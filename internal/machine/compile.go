@@ -1,8 +1,8 @@
 // Closure-threaded compilation of the RAM-machine IR.
 //
-// Compile lowers each ir.Func once into a flat array of op closures
+// Each ir.Func is lowered into a flat array of op closures
 // (direct-threaded code): operand addressing, call targets, store
-// widths, and operator dispatch are all resolved at compile time, so
+// widths, and operator dispatch are all resolved at lowering time, so
 // the step loop executes one indirect call per instruction with no
 // ir.Expr re-traversal and no type switches.  The symbolic shadow of
 // Fig. 1 is pay-as-you-go: compiled Load ops consult the memory's
@@ -14,12 +14,18 @@
 // branchPred walkers over the original expression, so both engines
 // share one definition of the symbolic semantics.
 //
-// A Compiled is immutable after Compile returns and may be shared by
-// any number of machines and goroutines.
+// Compile only builds the function table; each function is lowered on
+// its first activation, under its own sync.Once, so a search or replay
+// pays only for the functions it reaches.  Call ops bind to the
+// callee's table entry, not its code, so mutual recursion needs no
+// second pass.  A Compiled may be shared by any number of machines and
+// goroutines: lowering is the only write, and the Once orders it before
+// every read of the code.
 package machine
 
 import (
 	"fmt"
+	"sync"
 
 	"dart/internal/ir"
 	"dart/internal/symbolic"
@@ -33,8 +39,12 @@ type Compiled struct {
 }
 
 type cfunc struct {
-	f    *ir.Func
-	code []cop
+	f *ir.Func
+	// c resolves call targets when the function is lowered.
+	c *Compiled
+	// lowerOnce guards code, which is nil until the first activation.
+	lowerOnce sync.Once
+	code      []cop
 }
 
 // cop executes one instruction against machine state; it returns the
@@ -49,22 +59,24 @@ type cexpr func(m *Machine, frame int64) (int64, error)
 // targets are intercepted at compile time so they cannot collide.
 const retPC = -1
 
-// Compile lowers every function of p.  The result is self-contained:
-// call instructions bind directly to their compiled callees.
+// Compile builds the function table of p; each function's code is
+// lowered on its first activation.  The result is self-contained: call
+// instructions bind directly to their callees' table entries.
 func Compile(p *ir.Prog) *Compiled {
 	c := &Compiled{funcs: make(map[string]*cfunc, len(p.Funcs))}
-	// Two phases so mutually recursive calls can bind their targets.
 	for name, f := range p.Funcs {
-		c.funcs[name] = &cfunc{f: f}
-	}
-	for _, cf := range c.funcs {
-		code := make([]cop, len(cf.f.Code))
-		for pc, ins := range cf.f.Code {
-			code[pc] = c.compileIns(ins, pc, cf.f)
-		}
-		cf.code = code
+		c.funcs[name] = &cfunc{f: f, c: c}
 	}
 	return c
+}
+
+// lower compiles cf's instructions; it runs once, under cf.lowerOnce.
+func (cf *cfunc) lower() {
+	code := make([]cop, len(cf.f.Code))
+	for pc, ins := range cf.f.Code {
+		code[pc] = cf.c.compileIns(ins, pc, cf.f)
+	}
+	cf.code = code
 }
 
 // execCompiled runs one function activation on the compiled code.
@@ -77,6 +89,7 @@ func (m *Machine) execCompiled(cf *cfunc, args []Value) (Value, *RunError) {
 	}
 	m.callDepth++
 	defer func() { m.callDepth-- }()
+	cf.lowerOnce.Do(cf.lower)
 
 	f := cf.f
 	frame := m.mem.PushFrame(f.FrameSize)

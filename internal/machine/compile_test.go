@@ -3,6 +3,7 @@ package machine
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"dart/internal/symbolic"
@@ -308,5 +309,90 @@ int boom(int a) {
 	}
 	if !strings.Contains(cerr.Msg, "NULL pointer") {
 		t.Errorf("crash message %q lost the NULL pointer vocabulary", cerr.Msg)
+	}
+}
+
+// lazySrc has a mutually recursive pair reached from top, and a
+// function nothing reaches from top.
+const lazySrc = `
+int isOdd(int n);
+int isEven(int n) { if (n == 0) return 1; return isOdd(n - 1); }
+int isOdd(int n) { if (n == 0) return 0; return isEven(n - 1); }
+int top(int n) { if (n < 0) return -1; return isEven(n) + 2 * isOdd(n); }
+int unused(int n) { return n * 3; }
+`
+
+// TestCompileLowersOnFirstCall pins lowering on first call: Compile
+// lowers nothing, a call lowers exactly the functions it reaches, and
+// an unreached function stays unlowered.
+func TestCompileLowersOnFirstCall(t *testing.T) {
+	prog := compile(t, lazySrc)
+	code := Compile(prog)
+	for name, cf := range code.funcs {
+		if cf.code != nil {
+			t.Errorf("%s lowered by Compile", name)
+		}
+	}
+	m, err := New(Config{Prog: prog, Inputs: newFixedSource(), LibImpls: StdLibImpls(), Code: code})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, rerr := m.RunCall("top", []Value{{V: 5}})
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	if v.V != 2 {
+		t.Errorf("top(5) = %d, want 2", v.V)
+	}
+	for _, name := range []string{"top", "isEven", "isOdd"} {
+		if code.funcs[name].code == nil {
+			t.Errorf("%s reached but not lowered", name)
+		}
+	}
+	if code.funcs["unused"].code != nil {
+		t.Error("unused lowered although no call reached it")
+	}
+}
+
+// TestCompiledSharedFirstCallRace: eight machines over one shared
+// Compiled make their first call into the same toplevel at once, so
+// every function is lowered while other goroutines wait to run it.
+// Run under -race; every machine must match the interpreter.
+func TestCompiledSharedFirstCallRace(t *testing.T) {
+	prog := compile(t, lazySrc)
+	code := Compile(prog)
+	const n = 9
+	ref, err := New(Config{Prog: prog, Inputs: newFixedSource(), LibImpls: StdLibImpls()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, rerr := ref.RunCall("top", []Value{{V: n}})
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	start := make(chan struct{})
+	got := make([]int64, 8)
+	errs := make([]*RunError, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m, err := New(Config{Prog: prog, Inputs: newFixedSource(), LibImpls: StdLibImpls(), Code: code})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			<-start
+			v, rerr := m.RunCall("top", []Value{{V: n}})
+			got[g], errs[g] = v.V, rerr
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil || got[g] != want.V {
+			t.Errorf("machine %d: top(%d) = %d, %v; interpreter says %d", g, n, got[g], errs[g], want.V)
+		}
 	}
 }

@@ -165,8 +165,8 @@ type Config struct {
 	// Code, when non-nil, selects the closure-threaded compiled engine
 	// (see compile.go); it must have been produced by Compile on the same
 	// Prog.  Nil selects the reference tree-walking interpreter.  One
-	// Compiled is immutable and may be shared across machines and
-	// goroutines.
+	// Compiled may be shared across machines and goroutines; each of its
+	// functions is lowered once, on its first call by any of them.
 	Code *Compiled
 }
 

@@ -14,6 +14,10 @@ test -z "$unformatted"
 # (regenerate deliberately with `go test -run TestTraceGolden -update .`).
 go test -run 'TestTraceGolden' .
 go test -race ./...
+# The benchmark is a Go module of its own, so the root `go test ./...`
+# does not reach its tests (the pk1 key round trip against
+# solver.PortableKey, the comparer, BENCHMARK.json against the code).
+(cd bench && go test ./...)
 # Ops smoke: a real dart process with -serve answering on every live
 # endpoint mid-audit, plus the in-process endpoint/counter checks.
 go test -count=1 -run 'TestCLIServeEndpoints' .
@@ -121,7 +125,7 @@ rm -rf "$tmp"
 # staleness must re-search only the changed function, and corrupt
 # corpus artifacts must degrade to a full re-search, never a wrong
 # verdict.
-go test -count=1 -race -run 'TestAuditWarmMatchesCold|TestAuditStaleHash|TestAuditCorruptEntryDegrades|TestAuditOptionsSigGatesReplay|TestPersistentSolveCache' ./internal/audit/
+go test -count=1 -race -run 'TestAuditWarmMatchesCold|TestAuditStaleHash|TestAuditCorruptEntryDegrades|TestAuditOptionsSigGatesReplay|TestPersistentSolveCache|TestWarmAuditSkipsSolveLog' ./internal/audit/
 go test -count=1 -race ./internal/corpus/ ./internal/distill/
 go test -count=1 -race -run 'TestRestartServesFromCorpusDisk|TestRestartCorpusFastPath' ./internal/serve/
 go test -count=1 -race -run 'TestIncrementalSIPWarmMatchesCold' .
