@@ -218,6 +218,54 @@ func TestCLIAuditJSON(t *testing.T) {
 	}
 }
 
+// TestCLIWarmAuditWarnsCorruptSolveLog: a fully warm human-mode
+// -audit -corpus run searches nothing, so only its summary's solve
+// count reads the solve log; a corrupt line that read finds must still
+// be warned about on stderr.
+func TestCLIWarmAuditWarnsCorruptSolveLog(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the CLI binary")
+	}
+	dir := t.TempDir()
+	bin := buildCLI(t, dir)
+	src := filepath.Join(dir, "prog.mc")
+	if err := os.WriteFile(src, []byte(progs.Section21), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	corp := filepath.Join(dir, "corpus")
+	audit := func() (string, string) {
+		cmd := exec.Command(bin, "-audit", "-seed", "1", "-corpus", corp, src)
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+				t.Fatalf("audit: %v (want exit 1: the fixture has a bug)\n%s%s", err, stdout.String(), stderr.String())
+			}
+		}
+		return stdout.String(), stderr.String()
+	}
+	if _, stderr := audit(); strings.Contains(stderr, "warning") {
+		t.Fatalf("cold audit warned:\n%s", stderr)
+	}
+	log, err := os.OpenFile(filepath.Join(corp, "solve.log"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.WriteString("s1 00000000 garbage\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr := audit()
+	if !strings.Contains(stdout, "2 functions replayed from corpus") {
+		t.Fatalf("warm audit was not answered from the corpus:\n%s", stdout)
+	}
+	if !strings.Contains(stderr, "dart: warning: corpus: solve log: discarded 1 corrupt line(s)") {
+		t.Errorf("warm audit did not warn about the corrupt solve log; stderr:\n%s", stderr)
+	}
+}
+
 func TestCLINoBugExitsZero(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the CLI binary")

@@ -808,8 +808,16 @@ func runAudit(prog *dart.Program, cfg auditConfig) int {
 		pr.finish()
 	}
 	// Corpus degradation notes (corrupt files, flush failures) are
-	// warnings: the audit's verdicts stand either way.
-	for _, n := range res.CorpusNotes {
+	// warnings: the audit's verdicts stand either way.  The human
+	// summary's solve count reads the solve log if no search did, so it
+	// is taken first and the notes that read leaves are warned with the
+	// rest (-json prints no count and never reads the log for one).
+	notes, solves := res.CorpusNotes, 0
+	if cfg.corpus != nil && !cfg.json {
+		solves = cfg.corpus.SolveCount()
+		notes = append(notes, cfg.corpus.Notes()...)
+	}
+	for _, n := range notes {
 		fmt.Fprintln(os.Stderr, "dart: warning:", n)
 	}
 	if cfg.covreport != "" {
@@ -849,7 +857,7 @@ func runAudit(prog *dart.Program, cfg auditConfig) int {
 		res.Functions(), res.TotalRuns, res.OK, res.Buggy, res.TimedOut, res.Faulted, res.Cancelled)
 	if cfg.corpus != nil {
 		fmt.Printf("audit: corpus: %d functions replayed from corpus, %d entries stored, %d solves persisted\n",
-			res.CorpusHits, res.CorpusStores, cfg.corpus.SolveCount())
+			res.CorpusHits, res.CorpusStores, solves)
 	}
 	fmt.Printf("audit: aggregate branch coverage %d/%d directions (%.1f%%), %d/%d sites touched\n",
 		res.Coverage.Covered(), res.Coverage.Total(), 100*res.Coverage.Fraction(),

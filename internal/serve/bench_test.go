@@ -1,12 +1,14 @@
 package serve
 
-// Jobs-per-second throughput of the service layer (BENCH_pr6.json):
-// fresh measures the full admit→compile→audit→report pipeline with a
+// Jobs-per-second throughput of the service layer, in process: fresh
+// measures the full admit→compile→audit→report pipeline with a
 // distinct identity per job; cached measures the content-addressed
-// fast path once the first report is stored.  The submitting client is
-// backpressure-aware — a full queue means wait, not fail — so the
-// benchmark exercises the bounded queue exactly as a well-behaved
-// client would.
+// fast path once the first report is stored — content key and store
+// lookup, no compile.  The submitting client is backpressure-aware — a
+// full queue means wait, not fail — so the benchmark exercises the
+// bounded queue exactly as a well-behaved client would.  The same two
+// paths over real HTTP are the committed benchmark's jobs-fresh and
+// jobs-cached workloads (bench/).
 
 import (
 	"errors"

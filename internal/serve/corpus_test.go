@@ -123,3 +123,44 @@ func TestRestartCorpusFastPath(t *testing.T) {
 		t.Errorf("warm re-execution changed the report bytes:\ncold: %s\nwarm: %s", b1, b2)
 	}
 }
+
+// TestRestartRejectsNonJSONSpill: a spilled report that passes the
+// corpus checksum but cannot be embedded verbatim in a job envelope —
+// not JSON, or JSON broken over lines, which no SSE frame can carry —
+// reads as a store miss.  The job re-executes, and its put overwrites
+// the spill with the real report.
+func TestRestartRejectsNonJSONSpill(t *testing.T) {
+	for name, payload := range map[string]string{
+		"not-json":   "{not json",
+		"multi-line": "{\n}",
+	} {
+		t.Run(name, func(t *testing.T) {
+			c, err := corpus.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := cacheKey(progs.Section21, 1, 200, 1, false, 0)
+			if err := c.StoreReport(key, []byte(payload)); err != nil {
+				t.Fatal(err)
+			}
+			s := New(Config{Corpus: c})
+			defer s.Drain(time.Second)
+			j, err := s.Submit(Submission{Source: progs.Section21, Runs: 200})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wait(t, j)
+			b, cached := j.Report()
+			if cached {
+				t.Fatalf("spilled %q served as a cached report", payload)
+			}
+			decode(t, b)
+			if got := s.Gauges()["jobs_store_disk_hits"]; got != 0 {
+				t.Errorf("jobs_store_disk_hits = %v, want 0", got)
+			}
+			if spilled, ok := c.LoadReport(key); !ok || !bytes.Equal(spilled, b) {
+				t.Errorf("re-execution did not overwrite the spill: %q", spilled)
+			}
+		})
+	}
+}

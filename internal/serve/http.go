@@ -4,14 +4,19 @@
 //	                      registered library); query params seed, runs,
 //	                      depth, random, fn_timeout.  202 + job id on
 //	                      admission, 200 + id when served from the result
-//	                      store, 400 on bad input, 413 past the body cap,
-//	                      429 + Retry-After when the queue is full, 503 +
-//	                      Retry-After while draining.
+//	                      store (looked up before the compile, so a stored
+//	                      submission costs no front-end work), 400 on bad
+//	                      input, 413 past the body cap, 429 + Retry-After
+//	                      when the queue is full, 503 + Retry-After while
+//	                      draining.
 //	GET  /jobs            list live job records (admission order)
 //	GET  /jobs/{id}       one job's envelope: state, timing, stop reason,
-//	                      cached marker, and — when done — the report, the
-//	                      job's cost profile, and its resolved coverage
-//	                      explanation.  ?wait=SECONDS long-polls
+//	                      cached marker, and — when done — the job's cost
+//	                      profile, its resolved coverage explanation and,
+//	                      as the last field, the report: the stored bytes
+//	                      verbatim, never re-encoded, so every client
+//	                      receives the content-addressed bytes themselves.
+//	                      ?wait=SECONDS long-polls
 //	                      until completion (or the timeout, returning the
 //	                      current envelope either way); with
 //	                      Accept: text/event-stream the handler streams
@@ -182,12 +187,11 @@ type jobEnvelope struct {
 	// incremental corpus (distilled-suite replay instead of search).
 	// Envelope-only, like all cache provenance: the report itself must
 	// stay byte-identical whether or not a corpus was attached.
-	CorpusHits     int             `json:"corpus_hits,omitempty"`
-	StopReason     string          `json:"stop_reason,omitempty"`
-	Error          string          `json:"error,omitempty"`
-	Retries        int             `json:"retries,omitempty"`
-	ElapsedSeconds float64         `json:"elapsed_seconds"`
-	Report         json.RawMessage `json:"report,omitempty"`
+	CorpusHits     int     `json:"corpus_hits,omitempty"`
+	StopReason     string  `json:"stop_reason,omitempty"`
+	Error          string  `json:"error,omitempty"`
+	Retries        int     `json:"retries,omitempty"`
+	ElapsedSeconds float64 `json:"elapsed_seconds"`
 	// Profile is the job's search-cost profile (phase wall breakdown,
 	// per-site solver attribution, queue wait).  Envelope-only: it
 	// carries wall-clock, so it can never live inside the cacheable
@@ -198,6 +202,9 @@ type jobEnvelope struct {
 	// "why not" reason.  Envelope-only like Profile; cache-served jobs
 	// have none.
 	Explain *obs.ExplainReport `json:"explain,omitempty"`
+	// Report is the stored report, last on the wire as in the struct:
+	// renderEnvelope appends these bytes verbatim after the fields above.
+	Report json.RawMessage `json:"report,omitempty"`
 }
 
 func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -226,7 +233,7 @@ func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, j.envelope())
+	writeEnvelope(w, j)
 }
 
 // waitJob blocks until the job completes, the wait window expires, or
@@ -283,7 +290,7 @@ func (s *Service) streamJob(w http.ResponseWriter, r *http.Request, j *Job) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	writeSSE(w, "state", j.envelope())
+	writeSSE(w, "state", j)
 	flusher.Flush()
 	if !done {
 		// While the stream waits on completion, a keep-alive comment
@@ -308,17 +315,79 @@ func (s *Service) streamJob(w http.ResponseWriter, r *http.Request, j *Job) {
 			}
 		}
 	}
-	writeSSE(w, "done", j.envelope())
+	writeSSE(w, "done", j)
 	flusher.Flush()
 }
 
-// writeSSE emits one SSE event with a JSON data payload.
-func writeSSE(w io.Writer, event string, v any) {
-	data, err := json.Marshal(v)
+// writeEnvelope answers a plain or long-poll GET /jobs/{id} with the
+// job's indented envelope.
+func writeEnvelope(w http.ResponseWriter, j *Job) {
+	parts, err := j.renderEnvelope(true)
 	if err != nil {
-		data = []byte(fmt.Sprintf(`{"error":%q}`, err.Error()))
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(n))
+	w.WriteHeader(http.StatusOK)
+	for _, p := range parts {
+		w.Write(p)
+	}
+}
+
+// writeSSE emits one SSE event whose data is the job's compact
+// envelope.  The data stays on one line: the envelope is compact, and
+// the store admits only reports without line breaks (validReport).
+func writeSSE(w io.Writer, event string, j *Job) {
+	parts, err := j.renderEnvelope(false)
+	if err != nil {
+		parts = [][]byte{fmt.Appendf(nil, `{"error":%q}`, err.Error())}
+	}
+	fmt.Fprintf(w, "event: %s\ndata: ", event)
+	for _, p := range parts {
+		w.Write(p)
+	}
+	io.WriteString(w, "\n\n")
+}
+
+// renderEnvelope renders the job's envelope as the byte slices whose
+// concatenation is the document: the envelope's own fields, indented
+// for a plain GET or compact for an SSE frame, then — once the job is
+// done — "report" as the last field, carrying the stored bytes
+// verbatim.  Nothing re-compacts or re-indents a report, and the parts
+// share the stored slice instead of copying it, so every client
+// receives the content-addressed bytes themselves.
+func (j *Job) renderEnvelope(indent bool) ([][]byte, error) {
+	env := j.envelope()
+	report := env.Report
+	env.Report = nil
+	var head []byte
+	var err error
+	if indent {
+		head, err = json.MarshalIndent(env, "", "  ")
+	} else {
+		head, err = json.Marshal(env)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("rendering job %s: %w", j.ID, err)
+	}
+	switch {
+	case len(report) == 0 && indent:
+		return [][]byte{head, []byte("\n")}, nil
+	case len(report) == 0:
+		return [][]byte{head}, nil
+	case indent:
+		// Reopen the object: drop its closing "\n}".
+		head = append(head[:len(head)-2], ",\n  \"report\": "...)
+		return [][]byte{head, report, []byte("\n}\n")}, nil
+	default:
+		head = append(head[:len(head)-1], `,"report":`...)
+		return [][]byte{head, report, []byte("}")}, nil
+	}
 }
 
 // envelope snapshots the job under its lock.

@@ -367,10 +367,14 @@ func (s *Service) emit(ev obs.Event) {
 	}
 }
 
-// Submit admits one job: resolve and compile the source, answer from
-// the result store when the identical (source, seed, options) has
-// already been audited, otherwise enqueue.  It never blocks: a full
-// queue is ErrQueueFull, a draining service ErrDraining.
+// Submit admits one job: resolve the source, answer from the result
+// store when the identical (source, seed, options) has already been
+// audited, otherwise compile and enqueue.  The store lookup needs only
+// the content key, so a hit never pays for the front end; a hit cannot
+// admit a bad program either, because stored bytes come from a run of
+// the identical source.  The compile still gates every job that will
+// execute.  Submit never blocks: a full queue is ErrQueueFull, a
+// draining service ErrDraining (hits included).
 func (s *Service) Submit(sub Submission) (*Job, error) {
 	src := sub.Source
 	if sub.Lib != "" {
@@ -400,13 +404,17 @@ func (s *Service) Submit(sub Submission) (*Job, error) {
 	}
 	sub.Source = src
 
-	prog, sem, err := compile(src)
-	if err != nil {
-		s.reject("bad-request")
-		return nil, &BadSubmissionError{Reason: err.Error()}
-	}
-
 	key := cacheKey(src, sub.Seed, sub.Runs, sub.Depth, sub.Random, sub.FnTimeout)
+	cached, from := s.store.get(key)
+	var prog *ir.Prog
+	var sem *sema.Program
+	if from == "" {
+		var err error
+		if prog, sem, err = compile(src); err != nil {
+			s.reject("bad-request")
+			return nil, &BadSubmissionError{Reason: err.Error()}
+		}
+	}
 
 	s.mu.Lock()
 	if s.draining {
@@ -428,10 +436,10 @@ func (s *Service) Submit(sub Submission) (*Job, error) {
 
 	// Served from the store: the job is born completed, its report the
 	// cached bytes — byte-identical to what a fresh run would produce.
-	if cached, src := s.store.get(key); src != "" {
+	if from != "" {
 		j.state = StateDone
 		j.cached = true
-		j.cacheSrc = src
+		j.cacheSrc = from
 		j.report = cached
 		j.finished = j.created
 		close(j.done)
@@ -522,7 +530,11 @@ func (s *Service) Ready() (bool, string) {
 	return true, ""
 }
 
-// Gauges provides the service's live /metrics gauges.
+// Gauges provides the service's live /metrics gauges.  The store hit
+// and miss counts tally lookups, which Submit makes before it compiles
+// or admits: a submission that then fails to compile counts one
+// jobs_store_misses, and one refused for a full queue or a drain
+// counts its lookup too.
 func (s *Service) Gauges() map[string]float64 {
 	s.mu.RLock()
 	queueDepth := len(s.queue)

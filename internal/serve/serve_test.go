@@ -421,6 +421,44 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitHitSkipsCompile: a stored submission is answered from its
+// content key alone — no lexing, parsing, checking or lowering — so
+// its Submit allocates a handful of objects, not a front end's worth;
+// a ?lib= submission resolves to the same key and hits too.  Draining
+// still refuses a stored submission.
+func TestSubmitHitSkipsCompile(t *testing.T) {
+	s := New(Config{Libraries: map[string]string{"sec21": progs.Section21}})
+	defer s.Drain(time.Second)
+	j, err := s.Submit(Submission{Source: progs.Section21, Runs: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait(t, j)
+
+	for _, sub := range []Submission{
+		{Source: progs.Section21, Runs: 100},
+		{Lib: "sec21", Runs: 100},
+	} {
+		allocs := testing.AllocsPerRun(50, func() {
+			j, err := s.Submit(sub)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, cached := j.Report(); !cached {
+				t.Fatalf("%+v was not served from the store", sub)
+			}
+		})
+		if allocs > 32 {
+			t.Errorf("stored submission (lib=%q) allocates %.0f objects per Submit, want <= 32", sub.Lib, allocs)
+		}
+	}
+
+	s.Drain(time.Second)
+	if _, err := s.Submit(Submission{Source: progs.Section21, Runs: 100}); !errors.Is(err, ErrDraining) {
+		t.Errorf("stored submission while draining: %v, want ErrDraining", err)
+	}
+}
+
 func TestLibrarySubmission(t *testing.T) {
 	s := New(Config{Libraries: map[string]string{"sec21": progs.Section21}})
 	defer s.Drain(time.Second)

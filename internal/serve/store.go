@@ -11,9 +11,11 @@
 package serve
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -42,8 +44,9 @@ func cacheKey(src string, seed int64, runs, depth int, random bool, fnTimeout ti
 // persisted, and an in-memory miss consults the spill before giving up
 // — so a restarted server still serves byte-identical cached reports
 // for submissions completed before the restart.  Spill files carry the
-// corpus's version+checksum envelope; a corrupt one reads as a miss and
-// the job simply re-executes.
+// corpus's version+checksum envelope; a corrupt one, or one whose
+// payload is not a report validReport admits, reads as a miss and the
+// job simply re-executes (its put then overwrites the spill).
 type store struct {
 	mu        sync.Mutex
 	cap       int
@@ -93,7 +96,7 @@ func (s *store) get(key string) ([]byte, string) {
 	}
 	s.mu.Unlock()
 	if s.spill != nil {
-		if rep, ok := s.spill.LoadReport(key); ok {
+		if rep, ok := s.spill.LoadReport(key); ok && validReport(rep) {
 			s.mu.Lock()
 			s.diskHits++
 			s.insert(key, rep)
@@ -105,6 +108,14 @@ func (s *store) get(key string) ([]byte, string) {
 	s.misses++
 	s.mu.Unlock()
 	return nil, ""
+}
+
+// validReport reports whether spilled bytes can be served as a report:
+// job envelopes embed them verbatim, so they must be valid JSON, and on
+// one line, because an SSE frame's data cannot span lines.  Reports the
+// service marshals always are; a checksummed spill file need not be.
+func validReport(b []byte) bool {
+	return json.Valid(b) && bytes.IndexAny(b, "\r\n") < 0
 }
 
 // put caches report under key, evicting the least recently used entry

@@ -7,7 +7,9 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -350,5 +352,95 @@ func TestJobProfileFeedsServerProfile(t *testing.T) {
 	}
 	if len(doc.Sites) == 0 {
 		t.Errorf("server-wide /profile has no site attribution:\n%s", pbody)
+	}
+}
+
+// lastField decodes a JSON object and returns its last key with that
+// key's value exactly as it appears in doc.
+func lastField(t *testing.T, doc []byte) (string, []byte) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(doc))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object (%v):\n%s", err, doc)
+	}
+	var key string
+	var raw json.RawMessage
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatalf("envelope key: %v\n%s", err, doc)
+		}
+		key = tok.(string)
+		if err := dec.Decode(&raw); err != nil {
+			t.Fatalf("envelope %q: %v\n%s", key, err, doc)
+		}
+	}
+	return key, raw
+}
+
+// sseDone returns the data of the "done" frame of a completed job's
+// SSE stream.
+func sseDone(t *testing.T, url string) string {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodGet, url, nil)
+	req.Header.Set("Accept", "text/event-stream")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frame := range strings.Split(string(body), "\n\n") {
+		if data, ok := strings.CutPrefix(frame, "event: done\ndata: "); ok {
+			return data
+		}
+	}
+	t.Fatalf("no done frame in the SSE stream:\n%s", body)
+	return ""
+}
+
+// TestEnvelopeEmbedsReportVerbatim: every envelope rendering — plain
+// GET, ?wait= long-poll and the SSE done frame — carries the stored
+// report bytes themselves as its last field, for a fresh job and for
+// its cached resubmission alike.
+func TestEnvelopeEmbedsReportVerbatim(t *testing.T) {
+	svc, ts := newHTTPService(t, Config{})
+	fresh := submitOne(t, ts.URL)
+	if resp, body := get(t, ts.URL+"/jobs/"+fresh+"?wait=30"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("wait: %d\n%s", resp.StatusCode, body)
+	}
+	resp, body := post(t, ts.URL+"/jobs?runs=100", progs.Section21)
+	var sub struct {
+		ID     string `json:"id"`
+		Cached bool   `json:"cached"`
+	}
+	if err := json.Unmarshal([]byte(body), &sub); err != nil || resp.StatusCode != http.StatusOK || !sub.Cached {
+		t.Fatalf("cached resubmission: %d %v\n%s", resp.StatusCode, err, body)
+	}
+
+	for _, id := range []string{fresh, sub.ID} {
+		j, ok := svc.Job(id)
+		if !ok {
+			t.Fatalf("job %s not retained", id)
+		}
+		want, cached := j.Report()
+		docs := map[string]string{"SSE": sseDone(t, ts.URL+"/jobs/"+id)}
+		_, docs["GET"] = get(t, ts.URL+"/jobs/"+id)
+		_, docs["?wait"] = get(t, ts.URL+"/jobs/"+id+"?wait=30")
+		for how, doc := range docs {
+			key, raw := lastField(t, []byte(doc))
+			if key != "report" {
+				t.Errorf("job %s (cached=%v) %s: last key %q, want report", id, cached, how, key)
+			}
+			if !bytes.Equal(raw, want) {
+				t.Errorf("job %s (cached=%v) %s: report is not the stored bytes:\ngot:  %.200s\nwant: %.200s", id, cached, how, raw, want)
+			}
+			if env := decodeEnv(t, doc); env.ID != id || env.State != "done" || env.Cached != cached || env.Report["functions"] != 2.0 {
+				t.Errorf("job %s %s: envelope decodes to %+v", id, how, env)
+			}
+		}
 	}
 }

@@ -38,9 +38,12 @@ go test -count=1 -race -run 'TestAuditParallelWorkersFindSameBugs' ./internal/au
 # 429s counted in /metrics as dart_jobs_rejected_total, then SIGTERM
 # and a clean exit-0 drain with jobs still mid-flight.  The in-process
 # half covers poisoned-job isolation, byte-identical cached reports,
-# and the drain checkpoint under the race detector.
+# and the drain checkpoint under the race detector, plus the store-hit
+# path: a hit skips the compile, every envelope carries the stored
+# report bytes verbatim as its last field, and a spilled report that
+# cannot be embedded reads as a miss.
 go test -count=1 -run 'TestCLIServeGate|TestCLIServeJobService|TestCLIServeBindError' .
-go test -count=1 -race -run 'TestPoisonedJobIsolation|TestCachedByteIdentical|TestDrainCheckpointsBacklog|TestHTTPQueueFull429|TestConcurrentSubmissions' ./internal/serve/
+go test -count=1 -race -run 'TestPoisonedJobIsolation|TestCachedByteIdentical|TestDrainCheckpointsBacklog|TestHTTPQueueFull429|TestConcurrentSubmissions|TestSubmitHitSkipsCompile|TestEnvelopeEmbedsReportVerbatim|TestRestartRejectsNonJSONSpill' ./internal/serve/
 # Profiler gate (search cost accounting): per-site solver attribution
 # must be byte-identical at -workers 1/2/8 under the race detector (the
 # counter plane is deterministic; only nanos are wall clock), profiling
@@ -128,7 +131,7 @@ rm -rf "$tmp"
 go test -count=1 -race -run 'TestAuditWarmMatchesCold|TestAuditStaleHash|TestAuditCorruptEntryDegrades|TestAuditOptionsSigGatesReplay|TestPersistentSolveCache|TestWarmAuditSkipsSolveLog' ./internal/audit/
 go test -count=1 -race ./internal/corpus/ ./internal/distill/
 go test -count=1 -race -run 'TestRestartServesFromCorpusDisk|TestRestartCorpusFastPath' ./internal/serve/
-go test -count=1 -race -run 'TestIncrementalSIPWarmMatchesCold' .
+go test -count=1 -race -run 'TestIncrementalSIPWarmMatchesCold|TestCLIWarmAuditWarnsCorruptSolveLog' .
 # CLI warm-vs-cold plane equality: strip the timing and corpus
 # provenance fields (the only legitimately different ones) and the two
 # -json reports must be byte-identical; the warm run must actually be
