@@ -126,19 +126,24 @@ func (x *corpusCtx) tryWarm(prog *ir.Prog, o Options, i int, lifecycle obs.Sink)
 		want[concolic.CovDir{Site: sites[sd.Ord], Taken: sd.Taken}] = true
 	}
 
-	// Replay the distilled suite; it must reproduce every stored
-	// direction.  Extra directions are legitimate: a mispredicted run is
-	// aborted mid-execution, so its recorded coverage (and therefore the
+	// Replay the distilled suite and then the bug fixtures, on one
+	// machine.  The suite must reproduce every stored direction.  Extra
+	// directions are legitimate: a mispredicted run is aborted
+	// mid-execution, so its recorded coverage (and therefore the
 	// search's) is a prefix of what its inputs reach when replayed freely.
 	// The warm report restores the stored set verbatim either way, so it
 	// stays byte-identical to the cold one.
-	copts := replayOpts(o, i)
-	results, err := concolic.ReplaySuite(prog, copts, ent.Suite)
+	cases := ent.Suite[:len(ent.Suite):len(ent.Suite)]
+	for _, b := range ent.Bugs {
+		cases = append(cases, b.Inputs)
+	}
+	results, err := concolic.ReplaySuite(prog, replayOpts(o, i), cases)
 	if err != nil {
 		return miss("replay-mismatch")
 	}
+	suite, fixtures := results[:len(ent.Suite)], results[len(ent.Suite):]
 	got := map[concolic.CovDir]bool{}
-	for _, res := range results {
+	for _, res := range suite {
 		if len(res.Missing) > 0 || (res.Err != nil && res.Err.Outcome == machine.Interrupted) {
 			return miss("replay-mismatch")
 		}
@@ -153,9 +158,9 @@ func (x *corpusCtx) tryWarm(prog *ir.Prog, o Options, i int, lifecycle obs.Sink)
 	}
 
 	// Every bug fixture must still reproduce its recorded failure.
-	for _, b := range ent.Bugs {
-		rerr, rpErr := concolic.Replay(prog, copts, b.Inputs)
-		if rpErr != nil || rerr == nil || rerr.Outcome != b.Kind || rerr.Msg != b.Msg {
+	for j, b := range ent.Bugs {
+		res := fixtures[j]
+		if len(res.Missing) > 0 || res.Err == nil || res.Err.Outcome != b.Kind || res.Err.Msg != b.Msg {
 			return miss("replay-mismatch")
 		}
 	}

@@ -9,10 +9,10 @@
 // many executions the search performs.  The kept union equals the
 // search's final coverage exactly — runs are observed at the same
 // points coverage is recorded — so greedy set-cover over the log can
-// always reconstruct full coverage.  Under the parallel engine all
-// workers share one locked recorder; which runs are kept then depends
-// on schedule, but the union invariant (and with it the distilled
-// suite's coverage) does not.
+// always reconstruct full coverage.  A pool's workers share the search's
+// one locked recorder; which runs are kept then depends on schedule, but
+// the union invariant (and with it the distilled suite's coverage) does
+// not.
 package concolic
 
 import (
@@ -37,9 +37,8 @@ type RunRecord struct {
 	Cover  []CovDir
 }
 
-// runRecorder is the engines' shared run log.  Sequential searches own
-// one; the workers of a parallel search share one (the mutex is
-// uncontended against whole program executions).
+// runRecorder is a search's run log, shared by all of its engines (the
+// mutex is uncontended against whole program executions).
 type runRecorder struct {
 	mu      sync.Mutex
 	union   *coverage.Set

@@ -1,16 +1,16 @@
-// Suite replay: the warm path of the incremental re-audit pipeline.
+// Suite replay: the warm path of the incremental re-audit pipeline, and
+// the executable form of Theorem 1(a).
 //
 // A distilled suite is a handful of recorded input vectors; replaying
 // it is pure concrete execution — no symbolic shadow, no solver — on
-// the compiled engine with one pooled machine, so an unchanged function
-// re-validates in milliseconds.  The replay reports everything the
-// corpus needs to validate its entry against the current program:
+// the generated test driver with one pooled machine, so an unchanged
+// function re-validates in milliseconds.  The replay reports everything
+// the corpus needs to validate its entry against the current program:
 // each case's covered branch directions and termination.
 package concolic
 
 import (
 	"fmt"
-	"time"
 
 	"dart/internal/ir"
 	"dart/internal/machine"
@@ -30,89 +30,65 @@ type CaseResult struct {
 }
 
 // ReplaySuite executes each recorded input vector concretely on one
-// pooled compiled machine and reports per-case coverage and outcome.
-// Options supplies the toplevel, depth, step budget, library bindings,
-// timeout, and engine selection exactly as for a search; solver- and
-// strategy-related options are ignored.  A machine-construction
-// failure, or an internal panic while replaying, returns an error — the
-// corpus treats any error as "entry invalid, fall back to full search".
+// pooled machine and reports per-case coverage and outcome.  Options
+// supplies the toplevel, depth, step budget, library bindings, timeout,
+// and engine (compiled, or the interpreter with Options.Interpreter)
+// exactly as for a search; solver- and strategy-related options are
+// ignored.  A machine-construction failure, or an internal panic while
+// replaying, returns an error — the corpus treats any error as "entry
+// invalid, fall back to full search".
 func ReplaySuite(prog *ir.Prog, opts Options, cases []map[string]int64) (results []CaseResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			results, err = nil, fmt.Errorf("concolic: suite replay panic: %v", r)
 		}
 	}()
-	o := opts.withDefaults()
-	fn, ok := prog.Lookup(o.Toplevel)
-	if !ok {
-		return nil, fmt.Errorf("concolic: toplevel function %q is not defined in the program", o.Toplevel)
+	s, err := newSearch(prog, opts)
+	if err != nil {
+		return nil, err
 	}
-	var deadline time.Time
-	if o.Timeout > 0 {
-		deadline = time.Now().Add(o.Timeout)
-	}
-	code := compileFor(prog, o)
+	var src inputVector
+	drv := newDriver(s, machine.Config{Inputs: &src})
 	results = make([]CaseResult, 0, len(cases))
-	var pooled *machine.Machine
-	argbuf := make([]machine.Value, len(fn.Params))
 	dirbuf := map[CovDir]bool{}
 	for _, inputs := range cases {
-		src := &replaySource{im: inputs}
-		if pooled == nil {
-			pooled, err = machine.New(machine.Config{
-				Prog:     prog,
-				Inputs:   src,
-				LibImpls: o.LibImpls,
-				MaxSteps: o.MaxSteps,
-				Deadline: deadline,
-				Cancel:   o.Cancel,
-				Code:     code,
-			})
-			if err != nil {
-				return nil, err
-			}
-		} else if rerr := pooled.Reset(src); rerr != nil {
-			return nil, rerr
+		src = inputVector{im: inputs}
+		m, rerr, err := drv.run()
+		if err != nil {
+			return nil, err
 		}
-		res := CaseResult{}
-		for d := 0; d < o.Depth && res.Err == nil; d++ {
-			for i, p := range fn.Params {
-				name := p.Name
-				if name == "" {
-					name = fmt.Sprintf("arg%d", i)
-				}
-				key := fmt.Sprintf("d%d.%s", d, name)
-				cell, aerr := pooled.Mem().Alloc(1)
-				if aerr != nil {
-					return nil, aerr
-				}
-				if ierr := pooled.RandomInit(cell, p.Type, key); ierr != nil {
-					return nil, ierr
-				}
-				v, verr := pooled.ArgValue(cell)
-				if verr != nil {
-					return nil, verr
-				}
-				argbuf[i] = v
-			}
-			if _, rerr := pooled.RunCall(o.Toplevel, argbuf[:len(fn.Params)]); rerr != nil {
-				res.Err = rerr
-			}
-		}
+		res := CaseResult{Err: rerr, Missing: src.missing}
 		clear(dirbuf)
-		for _, rec := range pooled.Branches {
-			if rec.Site < 0 {
-				continue
-			}
+		for _, rec := range m.Branches {
 			d := CovDir{Site: rec.Site, Taken: rec.Taken}
-			if dirbuf[d] {
+			if rec.Site < 0 || dirbuf[d] {
 				continue
 			}
 			dirbuf[d] = true
 			res.Cover = append(res.Cover, d)
 		}
-		res.Missing = src.missing
 		results = append(results, res)
 	}
 	return results, nil
+}
+
+// Replay executes the program once, concretely, on a recorded input
+// vector (a Bug's Inputs): a one-case ReplaySuite, on the engine
+// Options.Interpreter selects.  It returns how the run ended: nil for
+// normal termination, or the RunError that reproduces the bug.  Replay
+// is the executable form of the paper's Theorem 1(a): every error DART
+// reports comes with an input vector whose plain concrete execution
+// exhibits it.
+func Replay(prog *ir.Prog, opts Options, inputs map[string]int64) (*machine.RunError, error) {
+	res, err := ReplaySuite(prog, opts, []map[string]int64{inputs})
+	if err != nil {
+		return nil, err
+	}
+	if missing := res[0].Missing; len(missing) > 0 {
+		return nil, fmt.Errorf("concolic: replay vector is missing inputs %v", missing)
+	}
+	if rerr := res[0].Err; rerr != nil && rerr.Outcome != machine.HaltOK {
+		return rerr, nil
+	}
+	return nil, nil
 }
