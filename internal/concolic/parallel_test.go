@@ -3,6 +3,7 @@ package concolic
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 
 	"dart/internal/obs"
@@ -342,6 +343,56 @@ func TestParallelStrategies(t *testing.T) {
 		}
 		if len(rep.Bugs) != 1 {
 			t.Errorf("%s: %d bugs, want 1", strat, len(rep.Bugs))
+		}
+	}
+}
+
+// TestNoPhantomFlips pins when a flip is booked: when its run starts.
+// On a MaxRuns-truncated search every run but the root and the fresh
+// restarts forces exactly one flip, so the branch_flips counter, the
+// profile's per-site flips and the branch-flip events must all equal
+// runs − 1 − restarts, at every strategy and worker count — no flip
+// solved after the last budgeted run may be reported.
+func TestNoPhantomFlips(t *testing.T) {
+	prog := compile(t, progs.ACController)
+	for _, strat := range []Strategy{DFS, BFS, RandomBranch} {
+		for _, workers := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("%s/workers=%d", strat, workers), func(t *testing.T) {
+				var mu sync.Mutex
+				events := 0
+				rep, err := Run(prog, Options{
+					Toplevel:       "ac_controller",
+					Depth:          2,
+					MaxRuns:        7,
+					Seed:           1,
+					Strategy:       strat,
+					Workers:        workers,
+					CollectProfile: true,
+					Observer: obs.SinkFunc(func(ev obs.Event) {
+						if ev.Kind == obs.BranchFlip {
+							mu.Lock()
+							events++
+							mu.Unlock()
+						}
+					}),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Stopped != StopMaxRuns || rep.Runs != 7 {
+					t.Fatalf("want a search truncated at 7 runs, got %d runs, stopped=%s", rep.Runs, rep.Stopped)
+				}
+				want := int64(rep.Runs - 1 - rep.Restarts)
+				var profFlips int64
+				for _, s := range rep.Profile.Sites {
+					profFlips += s.Flips
+				}
+				counter := rep.Metrics.Counters[obs.CBranchFlips]
+				if counter != want || profFlips != want || int64(events) != want {
+					t.Errorf("runs=%d restarts=%d: branch_flips=%d profile flips=%d branch-flip events=%d, want %d each",
+						rep.Runs, rep.Restarts, counter, profFlips, events, want)
+				}
+			})
 		}
 	}
 }
