@@ -10,9 +10,10 @@ go vet ./...
 # benchmark's build directory holds third-party module sources).
 unformatted=$(find . -name '*.go' -not -path './.bench_build/*' -exec gofmt -l {} +)
 test -z "$unformatted"
-# Trace-golden gate: the fixed-seed E1 trace must stay byte-identical
-# (regenerate deliberately with `go test -run TestTraceGolden -update .`).
-go test -run 'TestTraceGolden' .
+# Trace-golden gate: the fixed-seed E1 traces (DFS, BFS, random mode)
+# and the one-worker engine-signature golden must stay byte-identical
+# (regenerate deliberately with `go test -run 'TestTraceGolden|TestEngineSignatureGolden' -update .`).
+go test -run 'TestTraceGolden|TestEngineSignatureGolden' .
 go test -race ./...
 # The benchmark is a Go module of its own, so the root `go test ./...`
 # does not reach its tests (the pk1 key round trip against
@@ -30,7 +31,7 @@ go test -count=1 -run 'TestAuditCacheDeterministicAcrossJobs' ./internal/audit/
 # Parallel search gate: worker-count determinism, pool invariants, and
 # the shared solve cache under the race detector, then a real CLI audit
 # driving the pool end to end (exit 1 = bugs found, the expected result).
-go test -count=1 -race -run 'TestWorkers|TestParallel|TestFrontierDrop' ./internal/concolic/
+go test -count=1 -race -run 'TestWorkers|TestParallel|TestFrontierDrop|TestNoPhantomFlips' ./internal/concolic/
 go test -count=1 -race -run 'TestShardedCache' ./internal/solver/
 go test -count=1 -race -run 'TestAuditParallelWorkersFindSameBugs' ./internal/audit/
 # Serve gate (audit as a service): flood POST /jobs past the queue
