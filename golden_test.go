@@ -26,6 +26,9 @@ import (
 	"sync"
 	"testing"
 
+	"dart/internal/audit"
+	"dart/internal/corpus"
+	"dart/internal/minisip"
 	"dart/internal/progs"
 	"dart/internal/protocols"
 	"dart/internal/solver"
@@ -264,4 +267,76 @@ func TestTraceGoldenE1IntroRandom(t *testing.T) {
 		CollectExplain: true,
 		StallWindow:    10,
 	})
+}
+
+// TestMinisipCorpusGolden pins what a cold minisip audit writes into a
+// fresh corpus — the -audit -corpus configuration of the sip-cold
+// benchmark (seed 1, 1000 runs, 2 jobs).  The entries carry minisip's
+// nested struct, array and pointer input keys in their suites and bug
+// fixtures, and the solve log carries the solver models, so symbolic
+// variable numbering reaches this golden too.  One line per fn/ entry
+// holds the SHA-256 of its bytes, and the last line the SHA-256 of the
+// solve log with its lines sorted (two functions audited at once append
+// in schedule order).  Regenerate with
+//
+//	go test -run TestMinisipCorpusGolden -update .
+func TestMinisipCorpusGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-library cold audit")
+	}
+	prog := compileT(t, minisip.SourceText())
+	dir := t.TempDir()
+	c, err := corpus.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	audit.Run(prog.IR, audit.Options{
+		Toplevels: Functions(prog),
+		Seed:      1,
+		MaxRuns:   1000,
+		Jobs:      2,
+		Corpus:    c,
+	})
+	if err := c.FlushSolves(); err != nil {
+		t.Fatal(err)
+	}
+
+	var lines []string
+	entries, err := os.ReadDir(filepath.Join(dir, "fn"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, "fn", ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, fmt.Sprintf("fn/%s sha256=%x", ent.Name(), sha256.Sum256(data)))
+	}
+	if len(lines) == 0 {
+		t.Fatal("the audit stored no corpus entry")
+	}
+	log, err := os.ReadFile(filepath.Join(dir, "solve.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	solves := strings.SplitAfter(string(log), "\n")
+	sort.Strings(solves)
+	lines = append(lines, fmt.Sprintf("solve.log lines=%d sorted-sha256=%x",
+		strings.Count(string(log), "\n"), sha256.Sum256([]byte(strings.Join(solves, "")))))
+
+	got := []byte(strings.Join(lines, "\n") + "\n")
+	golden := filepath.Join("testdata", "minisip_corpus.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("minisip corpus diverged from golden (run with -update if intended)\ngot:\n%s\nwant:\n%s", got, want)
+	}
 }
