@@ -82,7 +82,7 @@ func StdLibImpls() map[string]LibImpl {
 		"memset": func(m *Machine, a []int64) (int64, error) {
 			dst, v, n := a[0], a[1], a[2]
 			for i := int64(0); i < n; i++ {
-				if err := m.Mem().Store(dst+i, int64(int8(v))); err != nil {
+				if err := m.StoreCell(dst+i, int64(int8(v))); err != nil {
 					return 0, err
 				}
 			}
@@ -91,11 +91,11 @@ func StdLibImpls() map[string]LibImpl {
 		"memcpy": func(m *Machine, a []int64) (int64, error) {
 			dst, src, n := a[0], a[1], a[2]
 			for i := int64(0); i < n; i++ {
-				v, err := m.Mem().Load(src + i)
+				v, err := m.LoadCell(src + i)
 				if err != nil {
 					return 0, err
 				}
-				if err := m.Mem().Store(dst+i, v); err != nil {
+				if err := m.StoreCell(dst+i, v); err != nil {
 					return 0, err
 				}
 			}
@@ -104,7 +104,7 @@ func StdLibImpls() map[string]LibImpl {
 		"strlen": func(m *Machine, a []int64) (int64, error) {
 			p := a[0]
 			for n := int64(0); ; n++ {
-				v, err := m.Mem().Load(p + n)
+				v, err := m.LoadCell(p + n)
 				if err != nil {
 					return 0, err
 				}
@@ -119,11 +119,11 @@ func StdLibImpls() map[string]LibImpl {
 		"strcmp": func(m *Machine, a []int64) (int64, error) {
 			p, q := a[0], a[1]
 			for i := int64(0); ; i++ {
-				x, err := m.Mem().Load(p + i)
+				x, err := m.LoadCell(p + i)
 				if err != nil {
 					return 0, err
 				}
-				y, err := m.Mem().Load(q + i)
+				y, err := m.LoadCell(q + i)
 				if err != nil {
 					return 0, err
 				}

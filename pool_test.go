@@ -141,3 +141,49 @@ func TestTaintSpreadExplainParity(t *testing.T) {
 		})
 	}
 }
+
+// TestLibBlackBoxWitnesses pins the symbolic memory S across the
+// library black boxes that touch memory (Sec. 3.1).  A library function
+// runs on concrete values only, so a cell it writes holds a concrete
+// value (its input shadow must not survive the write), and a cell it
+// reads that holds an input-dependent value takes the run outside the
+// theory (all_linear must clear).  memcpy over an input cell and strlen
+// over an input character must therefore never be reported Complete
+// without the reachable abort, and the memset witness, whose abort is
+// unreachable, must be proven Complete in one run with no
+// misprediction.  Each case runs under both engines and seeds 1–5.
+func TestLibBlackBoxWitnesses(t *testing.T) {
+	cases := []struct {
+		name, src string
+		// unreachable: the abort cannot fire, so the search must prove it
+		// in one run; otherwise it must not claim Complete without it.
+		unreachable bool
+	}{
+		{"memcpy", `int f(int x, int y) { int b[1]; b[0] = x; memcpy((char *) b, (char *) &y, 1); if (x == 3) { if (b[0] == 12345) abort(); } return 0; }`, false},
+		{"strlen", `int f(char c) { char s[2]; s[0] = c; s[1] = 0; if (strlen(s) == 0) abort(); return 0; }`, false},
+		{"memset", `int f(int x) { int b[1]; b[0] = x; memset((char *) b, 0, 1); if (b[0] == 7) abort(); return 0; }`, true},
+	}
+	for _, tc := range cases {
+		prog := compileT(t, tc.src)
+		for _, interp := range []bool{false, true} {
+			for seed := int64(1); seed <= 5; seed++ {
+				t.Run(fmt.Sprintf("%s/interp=%t/seed=%d", tc.name, interp, seed), func(t *testing.T) {
+					rep, err := Run(prog, Options{Toplevel: "f", MaxRuns: 50, Seed: seed, Interpreter: interp})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if tc.unreachable {
+						if !rep.Complete || rep.Runs != 1 || rep.Mispredicts != 0 || len(rep.Bugs) != 0 {
+							t.Errorf("complete=%t runs=%d mispredicts=%d bugs=%d, want a one-run Complete proof",
+								rep.Complete, rep.Runs, rep.Mispredicts, len(rep.Bugs))
+						}
+						return
+					}
+					if rep.Complete && len(rep.Bugs) == 0 {
+						t.Errorf("Complete after %d runs with no bug, but the abort is reachable", rep.Runs)
+					}
+				})
+			}
+		}
+	}
+}
