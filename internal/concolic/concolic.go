@@ -30,7 +30,6 @@ import (
 	"dart/internal/solver"
 	"dart/internal/symbolic"
 	"dart/internal/token"
-	"dart/internal/types"
 )
 
 // Strategy selects which unexplored branch to force next (the paper's
@@ -400,12 +399,6 @@ type flipRef struct {
 	path  string
 }
 
-// varInfo describes a registered input variable.
-type varInfo struct {
-	key  string
-	meta solver.VarMeta
-}
-
 // sharedSearch is what every engine of one search shares: the program
 // and options, the compiled code, the input registry, the solve cache,
 // the run recorder and the coverage timeline, plus the search-wide
@@ -423,9 +416,9 @@ type sharedSearch struct {
 	// engine (nil = interpreter); it lowers each function once, under a
 	// per-function sync.Once.
 	code *machine.Compiled
-	// regs is the input registry, so symbolic variable numbering — and
-	// with it solve-cache keys — is global to the search.
-	regs *varRegistry
+	// regs interns every input path once, so symbolic variable numbering
+	// — and with it solve-cache keys — is global to the search.
+	regs *machine.InputTrie
 	// cache memoizes sliced solves (nil when disabled by SolveCacheCap):
 	// a *solver.Cache for one engine, a *solver.ShardedCache for a pool.
 	cache solver.SolveCache
@@ -469,7 +462,7 @@ func newSearch(prog *ir.Prog, opts Options) (*sharedSearch, error) {
 		start:    time.Now(),
 		fn:       fn,
 		code:     compileFor(prog, o),
-		regs:     newVarRegistry(),
+		regs:     machine.NewInputTrie(),
 		timeline: newTimeline(o),
 	}
 	if o.Timeout > 0 {
@@ -483,7 +476,7 @@ func newSearch(prog *ir.Prog, opts Options) (*sharedSearch, error) {
 		}
 	}
 	if o.RecordRuns {
-		s.rec = newRunRecorder(prog.NumSites)
+		s.rec = newRunRecorder(prog.NumSites, s.regs)
 	}
 	if s.timeline != nil && o.Workers > 1 {
 		s.cov = coverage.New(prog.NumSites)
@@ -514,7 +507,7 @@ func (s *sharedSearch) newEngine(i int, directed bool) *engine {
 	}
 	e := &engine{
 		sharedSearch: s,
-		im:           map[string]int64{},
+		im:           &vector{},
 		obs:          o.Observer,
 		metrics:      newMetrics(o),
 		worker:       worker,
@@ -528,7 +521,7 @@ func (s *sharedSearch) newEngine(i int, directed bool) *engine {
 	e.in.rand = rng.New(o.Seed)
 	cfg := machine.Config{Inputs: &e.in, Observer: e.machineSink()}
 	if directed {
-		e.in.regs = s.regs
+		e.in.symbolic = true
 		e.prof = newProfile(o, worker)
 		e.exp = newExplain(o, worker)
 		cfg.OnBranch = e.onBranch
@@ -605,10 +598,10 @@ func (s *sharedSearch) noteStop(r StopReason) {
 type engine struct {
 	*sharedSearch
 
-	// im is the current input vector (key -> value/decision), and in the
+	// im is the current input vector (Var -> value/decision), and in the
 	// input source that reads it into the machine; in.rand is the
 	// engine's random stream.
-	im map[string]int64
+	im *vector
 	in inputVector
 	// drv is this engine's test driver and pooled machine.
 	drv *driver
@@ -658,89 +651,6 @@ type engine struct {
 	lastSolve solveInfo
 
 	report *Report
-}
-
-// varRegistry is the search-global input registry: input key to
-// symbolic variable, plus each variable's solver domain.  The workers
-// of a pool share it, so variable numbering (and therefore predicate
-// rendering and cache keys) means the same input everywhere.
-// Registration is write-rare — each distinct input key registers once
-// per search — while the per-variable reads sit on every flip, so the
-// variable table is published behind an atomic pointer and read without
-// a lock; only the key map and appends take mu.
-type varRegistry struct {
-	mu    sync.RWMutex
-	byKey map[string]symbolic.Var
-	// vars is the published variable table.  Entries are immutable once
-	// appended, and an append writes only past every published length
-	// before the longer slice is published, so a loaded table is safe
-	// to read with no further synchronization.
-	vars atomic.Pointer[[]varInfo]
-}
-
-func newVarRegistry() *varRegistry {
-	// The key map is allocated on first registration, so input-less
-	// searches never pay for it.
-	return &varRegistry{}
-}
-
-// varOf returns (registering on first use) the variable for key.
-func (r *varRegistry) varOf(key string, kind symbolic.VarKind, b *types.Basic) symbolic.Var {
-	r.mu.RLock()
-	v, ok := r.byKey[key]
-	r.mu.RUnlock()
-	if ok {
-		return v
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v, ok := r.byKey[key]; ok {
-		return v
-	}
-	if r.byKey == nil {
-		r.byKey = map[string]symbolic.Var{}
-	}
-	vars := r.snapshot()
-	v = symbolic.Var(len(vars))
-	r.byKey[key] = v
-	vars = append(vars, varInfo{key: key, meta: domainOf(kind, b)})
-	r.vars.Store(&vars)
-	return v
-}
-
-// snapshot returns the current registered-variable table, without
-// locking.
-func (r *varRegistry) snapshot() []varInfo {
-	if p := r.vars.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// keyOf returns the input key of a registered variable.
-func (r *varRegistry) keyOf(v symbolic.Var) string {
-	return r.snapshot()[v].key
-}
-
-// lookup resolves an input key back to its registered variable — the
-// inverse of varOf, used to translate a persistent solve-cache model
-// (keyed by stable input names) into this search's Var numbering.
-func (r *varRegistry) lookup(key string) (symbolic.Var, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	v, ok := r.byKey[key]
-	return v, ok
-}
-
-// metaOf returns the solver domain of a registered variable.
-func (r *varRegistry) metaOf(v symbolic.Var) solver.VarMeta {
-	return r.snapshot()[v].meta
-}
-
-// isPointer reports whether v identifies a pointer input.
-func (r *varRegistry) isPointer(v symbolic.Var) bool {
-	vars := r.snapshot()
-	return int(v) < len(vars) && vars[v].meta.Kind == symbolic.PointerVar
 }
 
 var errMispredicted = errors.New("execution diverged from predicted branch")
@@ -902,14 +812,6 @@ func ResolveExplain(prog *ir.Prog, snap *obs.ExplainSnapshot, cov *coverage.Set)
 // source position.
 func bugSig(rerr *machine.RunError) string {
 	return rerr.Outcome.String() + "|" + rerr.Msg + "|" + rerr.Pos.String()
-}
-
-func copyIM(im map[string]int64) map[string]int64 {
-	out := make(map[string]int64, len(im))
-	for k, v := range im {
-		out[k] = v
-	}
-	return out
 }
 
 // ------------------------------------------------------------ observation

@@ -61,7 +61,7 @@ type frontierItem struct {
 type parentRun struct {
 	outcomes []bool
 	path     *solver.Path
-	im       map[string]int64
+	im       *vector
 	hint     map[symbolic.Var]int64
 }
 
@@ -71,8 +71,9 @@ type parentRun struct {
 // constraint is indexed once for all of them.
 //
 // The run's input vector passes to the children without a copy: the
-// engine writes e.im only while running, and it replaces e.im (solveItem
-// on Sat, frontierRoot) before it runs again.
+// engine writes e.im only while running, and it replaces e.im with a
+// copy (solveItem on Sat) before it runs again; only the root run, which
+// no child precedes, restarts on a cleared vector (frontierRoot).
 func (e *engine) childItems(branches []machine.BranchRec, bound int) []frontierItem {
 	run := &parentRun{outcomes: make([]bool, len(branches)), path: solver.NewPath(len(branches)), im: e.im}
 	var kids []frontierItem
@@ -146,9 +147,9 @@ func (e *engine) solveItem(item frontierItem) bool {
 	if !ok {
 		return false
 	}
-	e.im = copyIM(run.im)
+	e.im = run.im.clone()
 	for v, val := range sol {
-		e.im[e.regs.keyOf(v)] = val
+		e.im.set(v, val)
 	}
 	e.flip = f
 

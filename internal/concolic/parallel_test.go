@@ -6,8 +6,11 @@ import (
 	"sync"
 	"testing"
 
+	"dart/internal/machine"
 	"dart/internal/obs"
 	"dart/internal/progs"
+	"dart/internal/symbolic"
+	"dart/internal/types"
 )
 
 // bugSigs is the canonical bug-set identity of a report: the sorted
@@ -393,6 +396,108 @@ func TestNoPhantomFlips(t *testing.T) {
 						rep.Runs, rep.Restarts, counter, profFlips, events, want)
 				}
 			})
+		}
+	}
+}
+
+// shapeSource is a symbolic input source that allocates every pointer
+// input shallower than limit and records each input it is asked for.
+type shapeSource struct {
+	limit int
+	seen  map[string]*machine.Input
+}
+
+func (s *shapeSource) ScalarInput(in *machine.Input) int64 {
+	s.seen[in.Key] = in
+	return 1
+}
+
+func (s *shapeSource) PointerInput(in *machine.Input) bool {
+	s.seen[in.Key] = in
+	return in.Depth < s.limit
+}
+
+func (s *shapeSource) Symbolic() bool { return true }
+
+// TestRegistryConcurrentIntern drives one search registry from eight
+// machines at once, as the workers of a pool do: each initializes the
+// same two roots, in its own order, down a linked list of its own length,
+// so the goroutines intern the same and overlapping paths concurrently.
+// Every path must end up as exactly one node whose key is its path, and
+// the leaves must be numbered densely.  scripts/check.sh runs it under
+// -race with -count=10.
+func TestRegistryConcurrentIntern(t *testing.T) {
+	prog := compile(t, `
+struct node { int v; char tag[2]; struct node *next; };
+int f(struct node *a, int b) { return b; }
+`)
+	list := &types.Pointer{Elem: prog.Structs["node"]}
+	regs := machine.NewInputTrie()
+	const workers = 8
+	sources := make([]*shapeSource, workers)
+	var wg sync.WaitGroup
+	for g := range sources {
+		src := &shapeSource{limit: 1 + g%4, seen: map[string]*machine.Input{}}
+		sources[g] = src
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m, err := machine.New(machine.Config{Prog: prog, Inputs: src, Trie: regs})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			roots := []func() *machine.Input{
+				func() *machine.Input { return regs.Root("d0.a", list) },
+				func() *machine.Input { return regs.Root("d0.b", types.IntType) },
+			}
+			if g%2 == 1 {
+				roots[0], roots[1] = roots[1], roots[0]
+			}
+			for round := 0; round < 3; round++ {
+				for _, root := range roots {
+					cell, _ := m.Mem().Alloc(1)
+					if err := m.RandomInit(cell, root()); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	seen := map[string]*machine.Input{}
+	for _, src := range sources {
+		for key, in := range src.seen {
+			if prev, ok := seen[key]; ok && prev != in {
+				t.Errorf("two nodes for path %q", key)
+			}
+			seen[key] = in
+			if in.Key != key {
+				t.Errorf("node for path %q is keyed %q", key, in.Key)
+			}
+			if got, _ := regs.Lookup(key); got != in {
+				t.Errorf("registry resolves %q to another node", key)
+			}
+		}
+	}
+	// Four list cells (v, tag[0], tag[1] and next each), the head
+	// pointer, and b.
+	leaves := regs.Leaves()
+	if len(leaves) != 4*4+2 || len(seen) != len(leaves) {
+		t.Errorf("%d leaves, %d inputs seen, want %d of each", len(leaves), len(seen), 4*4+2)
+	}
+	for i, in := range leaves {
+		if in.Var != symbolic.Var(i) {
+			t.Errorf("leaf %d (%s) numbered %d", i, in.Key, in.Var)
+		}
+		if seen[in.Key] != in {
+			t.Errorf("leaf %s was never reached", in.Key)
+		}
+	}
+	for _, key := range []string{"d0.a.*.next.*.next.*.next.*.tag[1]", "d0.a.*.next.*.next.*.next.*.next", "d0.b"} {
+		if _, ok := seen[key]; !ok {
+			t.Errorf("path %q was not interned", key)
 		}
 	}
 }

@@ -18,7 +18,7 @@ func RandomTest(prog *ir.Prog, opts Options) (*Report, error) {
 	e := s.newEngine(0, false)
 	stream := e.in.rand
 	for e.proceed() {
-		e.im = map[string]int64{}
+		clear(e.im.has)
 		e.in.rand = stream.Fork()
 		if _, _, cont := e.step(); !cont {
 			break

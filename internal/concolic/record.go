@@ -41,45 +41,47 @@ type RunRecord struct {
 // mutex is uncontended against whole program executions).
 type runRecorder struct {
 	mu      sync.Mutex
+	regs    *machine.InputTrie
 	union   *coverage.Set
 	records []RunRecord
 	// dirbuf dedups one run's directions; cleared per observe call.
 	dirbuf map[CovDir]bool
 }
 
-func newRunRecorder(sites int) *runRecorder {
-	return &runRecorder{union: coverage.New(sites), dirbuf: map[CovDir]bool{}}
+func newRunRecorder(sites int, regs *machine.InputTrie) *runRecorder {
+	return &runRecorder{regs: regs, union: coverage.New(sites), dirbuf: map[CovDir]bool{}}
 }
 
 // observe offers one completed run to the log.  im is the vector that
-// drove the run (copied if kept); branches its branch records.
-func (r *runRecorder) observe(im map[string]int64, branches []machine.BranchRec) {
+// drove the run (rendered by key if kept); branches its branch records.
+func (r *runRecorder) observe(im *vector, branches []machine.BranchRec) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	clear(r.dirbuf)
-	var dirs []CovDir
+	dirs := runCover(branches, r.dirbuf)
 	fresh := false
+	for _, d := range dirs {
+		fresh = r.union.Record(d.Site, d.Taken) || fresh
+	}
+	if fresh {
+		r.records = append(r.records, RunRecord{Inputs: im.named(r.regs), Cover: dirs})
+	}
+}
+
+// runCover lists the branch directions a run covered, deduped in
+// first-execution order; seen is scratch.
+func runCover(branches []machine.BranchRec, seen map[CovDir]bool) (dirs []CovDir) {
+	clear(seen)
 	for _, rec := range branches {
-		if rec.Site < 0 {
-			continue
-		}
 		d := CovDir{Site: rec.Site, Taken: rec.Taken}
-		if r.dirbuf[d] {
-			continue
-		}
-		r.dirbuf[d] = true
-		dirs = append(dirs, d)
-		if r.union.Record(d.Site, d.Taken) {
-			fresh = true
+		if rec.Site >= 0 && !seen[d] {
+			seen[d] = true
+			dirs = append(dirs, d)
 		}
 	}
-	if !fresh {
-		return
-	}
-	r.records = append(r.records, RunRecord{Inputs: copyIM(im), Cover: dirs})
+	return dirs
 }
 
 // log returns the kept runs in keep order.

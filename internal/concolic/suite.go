@@ -47,30 +47,38 @@ func ReplaySuite(prog *ir.Prog, opts Options, cases []map[string]int64) (results
 	if err != nil {
 		return nil, err
 	}
-	var src inputVector
+	var src caseInputs
 	drv := newDriver(s, machine.Config{Inputs: &src})
 	results = make([]CaseResult, 0, len(cases))
 	dirbuf := map[CovDir]bool{}
 	for _, inputs := range cases {
-		src = inputVector{im: inputs}
+		src = caseInputs{im: inputs}
 		m, rerr, err := drv.run()
 		if err != nil {
 			return nil, err
 		}
-		res := CaseResult{Err: rerr, Missing: src.missing}
-		clear(dirbuf)
-		for _, rec := range m.Branches {
-			d := CovDir{Site: rec.Site, Taken: rec.Taken}
-			if rec.Site < 0 || dirbuf[d] {
-				continue
-			}
-			dirbuf[d] = true
-			res.Cover = append(res.Cover, d)
-		}
-		results = append(results, res)
+		results = append(results, CaseResult{Cover: runCover(m.Branches, dirbuf), Err: rerr, Missing: src.missing})
 	}
 	return results, nil
 }
+
+// caseInputs is replay's concrete input source: an input reads the
+// recorded case by key; one the case lacks reads as zero, listed missing.
+type caseInputs struct {
+	im      map[string]int64
+	missing []string
+}
+
+func (c *caseInputs) ScalarInput(in *machine.Input) int64 {
+	x, ok := c.im[in.Key]
+	if !ok {
+		c.missing = append(c.missing, in.Key)
+	}
+	return x
+}
+
+func (c *caseInputs) PointerInput(in *machine.Input) bool { return c.ScalarInput(in) != 0 }
+func (c *caseInputs) Symbolic() bool                      { return false }
 
 // Replay executes the program once, concretely, on a recorded input
 // vector (a Bug's Inputs): a one-case ReplaySuite, on the engine

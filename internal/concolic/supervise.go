@@ -75,7 +75,7 @@ func (e *engine) runIsolated() (m *machine.Machine, rerr *machine.RunError, faul
 				Phase:  "run",
 				Msg:    fmt.Sprintf("panic: %v", r),
 				Run:    e.report.Runs + 1,
-				Inputs: copyIM(e.im),
+				Inputs: e.im.named(e.regs),
 			}
 			m, rerr = nil, nil
 		}
@@ -87,7 +87,7 @@ func (e *engine) runIsolated() (m *machine.Machine, rerr *machine.RunError, faul
 			Phase:  "init",
 			Msg:    err.Error(),
 			Run:    e.report.Runs + 1,
-			Inputs: copyIM(e.im),
+			Inputs: e.im.named(e.regs),
 		}
 		m, rerr = nil, nil
 	}
@@ -181,7 +181,7 @@ func (e *engine) solveIsolated(path *solver.Path, n int, hint map[symbolic.Var]i
 				Phase:  "solver",
 				Msg:    fmt.Sprintf("panic: %v", r),
 				Run:    e.report.Runs,
-				Inputs: copyIM(e.im),
+				Inputs: e.im.named(e.regs),
 			})
 			e.report.SolverComplete = false
 			sol, verdict, work = nil, solver.Unsat, 0
@@ -324,11 +324,11 @@ func (e *engine) portableModel(m map[string]int64) (map[symbolic.Var]int64, bool
 	}
 	out := make(map[symbolic.Var]int64, len(m))
 	for name, val := range m {
-		v, ok := e.regs.lookup(name)
+		in, ok := e.regs.Lookup(name)
 		if !ok {
 			return nil, false
 		}
-		out[v] = val
+		out[in.Var] = val
 	}
 	return out, true
 }
@@ -341,7 +341,7 @@ func (e *engine) namedModel(sol map[symbolic.Var]int64) map[string]int64 {
 	}
 	out := make(map[string]int64, len(sol))
 	for v, val := range sol {
-		out[e.regs.keyOf(v)] = val
+		out[e.regs.Leaves()[v].Key] = val
 	}
 	return out
 }

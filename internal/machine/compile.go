@@ -10,7 +10,7 @@
 // touched a tainted cell skips shadow evaluation entirely — sound
 // because evaluate_symbolic over all-constant leaves yields a constant
 // form and never clears a completeness flag (see DESIGN.md).  When the
-// shadow is needed, the op falls back to the reference evalSymbolic /
+// shadow is needed, the op falls back to the reference evalSym /
 // branchPred walkers over the original expression, so both engines
 // share one definition of the symbolic semantics.
 //
@@ -100,11 +100,8 @@ func (m *Machine) execCompiled(cf *cfunc, args []Value) (Value, *RunError) {
 
 	for i, p := range f.Params {
 		addr := frame + p.Slot
-		if err := m.mem.Store(addr, truncStore(p.Type, args[i].V)); err != nil {
+		if err := m.mem.Store(addr, truncStore(p.Type, args[i].V), args[i].Sym); err != nil {
 			return Value{}, m.memErr(err, token.Pos{})
-		}
-		if args[i].Sym != nil && !args[i].Sym.IsConst() {
-			m.setSym(addr, args[i].Sym)
 		}
 	}
 
@@ -191,13 +188,8 @@ func (c *Compiled) compileIns(ins ir.Instr, pc int, f *ir.Func) cop {
 			if m.taintHit {
 				sym = m.shadowEval(srcExpr, frame)
 			}
-			if err := m.mem.Store(addr, v); err != nil {
+			if err := m.mem.Store(addr, v, sym); err != nil {
 				return 0, m.memErr(err, pos)
-			}
-			if sym != nil && !sym.IsConst() {
-				m.setSym(addr, sym)
-			} else {
-				m.clearSym(addr)
 			}
 			return next, nil
 		}
@@ -308,13 +300,8 @@ func (c *Compiled) compileIns(ins ir.Instr, pc int, f *ir.Func) cop {
 				return 0, rerr
 			}
 			if dst != nil {
-				if err := m.mem.Store(dstAddr, ret.V); err != nil {
+				if err := m.mem.Store(dstAddr, ret.V, ret.Sym); err != nil {
 					return 0, m.memErr(err, pos)
-				}
-				if ret.Sym != nil && !ret.Sym.IsConst() {
-					m.setSym(dstAddr, ret.Sym)
-				} else {
-					m.clearSym(dstAddr)
 				}
 			}
 			return next, nil
@@ -328,17 +315,15 @@ func (c *Compiled) compileIns(ins ir.Instr, pc int, f *ir.Func) cop {
 		}
 		voidish := ins.Dst == nil || types.IsVoid(ins.Result)
 		return func(m *Machine, frame int64) (int, *RunError) {
-			n := m.extCounts[fn]
-			m.extCounts[fn] = n + 1
 			if voidish {
+				m.extInput(fn, nil)
 				return next, nil
 			}
 			addr, err := dst(m, frame)
 			if err != nil {
 				return 0, m.memErr(err, pos)
 			}
-			key := fmt.Sprintf("ext:%s#%d", fn, n)
-			if err := m.RandomInit(addr, result, key); err != nil {
+			if err := m.RandomInit(addr, m.extInput(fn, result)); err != nil {
 				return 0, m.memErr(err, pos)
 			}
 			return next, nil
@@ -389,10 +374,9 @@ func (c *Compiled) compileIns(ins ir.Instr, pc int, f *ir.Func) cop {
 				if cerr != nil {
 					return 0, m.memErr(cerr, pos)
 				}
-				if serr := m.mem.Store(addr, ret); serr != nil {
+				if serr := m.mem.Store(addr, ret, nil); serr != nil {
 					return 0, m.memErr(serr, pos)
 				}
-				m.clearSym(addr)
 			}
 			return next, nil
 		}
@@ -440,10 +424,9 @@ func (c *Compiled) compileIns(ins ir.Instr, pc int, f *ir.Func) cop {
 			if err != nil {
 				return 0, m.memErr(err, pos)
 			}
-			if err := m.mem.Store(addr, region); err != nil {
+			if err := m.mem.Store(addr, region, nil); err != nil {
 				return 0, m.memErr(err, pos)
 			}
-			m.clearSym(addr)
 			return next, nil
 		}
 
@@ -507,14 +490,14 @@ func (c *Compiled) compileExpr(e ir.Expr) cexpr {
 			if err != nil {
 				return 0, err
 			}
-			v, tainted, err := m.mem.LoadT(a)
+			v, sym, err := m.mem.Load(a)
 			if err != nil {
 				return 0, err
 			}
-			if tainted {
+			if sym != nil {
 				m.taintHit = true
 				if m.shapeSearch {
-					if err := m.noteDecision(a, v, true); err != nil {
+					if err := m.noteDecision(v, sym); err != nil {
 						return 0, err
 					}
 				}

@@ -25,11 +25,11 @@ func (m *Machine) evalConcrete(e ir.Expr, frame int64) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		v, tainted, err := m.mem.LoadT(addr)
+		v, sym, err := m.mem.Load(addr)
 		if err != nil {
 			return 0, err
 		}
-		if err := m.noteDecision(addr, v, tainted); err != nil {
+		if err := m.noteDecision(v, sym); err != nil {
 			return 0, err
 		}
 		return v, nil
@@ -129,25 +129,10 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// evalSymbolic is Fig. 1's evaluate_symbolic(e, M, S), boxing the
-// tri-state evalSym result into a Lin.  It returns an affine form over
+// evalSym is Fig. 1's evaluate_symbolic(e, M, S): an affine form over
 // input variables; whenever the expression leaves the linear theory it
-// falls back to the concrete value (a constant form) and clears the
-// corresponding completeness flag.  It returns nil only when the
-// underlying concrete evaluation faults, in which case the caller's
-// concrete evaluation reports the fault.
-func (m *Machine) evalSymbolic(e ir.Expr, frame int64) *symbolic.Lin {
-	l, k, fault := m.evalSym(e, frame)
-	if fault {
-		return nil
-	}
-	if l == nil {
-		return m.lins.NewConst(k)
-	}
-	return l
-}
-
-// evalSym is evaluate_symbolic with constant forms carried unboxed: the
+// falls back to the concrete value and clears the corresponding
+// completeness flag.  Constant forms are carried unboxed: the
 // result is either a genuinely symbolic affine form (l != nil; never a
 // constant — collapsed forms are normalized to the k representation), a
 // constant (l == nil, value k), or a fault of the underlying concrete
@@ -301,19 +286,15 @@ func (m *Machine) wrapK(l *symbolic.Lin, ty *types.Basic) (*symbolic.Lin, int64,
 }
 
 // loadSymK reads the symbolic (or concrete) content of a definite
-// address.  The taint bit gates the shadow map: a clear bit means the
-// cell is concrete even if a stale map entry survives from an earlier
-// frame or overwrite.  (Shadow entries are non-const by the setSym
-// call sites' discipline, preserving evalSym's normalization.)
+// address.  (Store keeps constant forms out of S, preserving
+// evalSym's normalization.)
 func (m *Machine) loadSymK(addr int64) (*symbolic.Lin, int64, bool) {
-	v, tainted, err := m.mem.LoadT(addr)
+	v, sym, err := m.mem.Load(addr)
 	if err != nil {
 		return nil, 0, true
 	}
-	if tainted {
-		if s, ok := m.sym[addr]; ok {
-			return s, 0, false
-		}
+	if sym != nil {
+		return sym, 0, false
 	}
 	return nil, v, false
 }
@@ -321,8 +302,8 @@ func (m *Machine) loadSymK(addr int64) (*symbolic.Lin, int64, bool) {
 // pointerShapeOnly reports whether every variable of the form is a
 // pointer input (so the form's value is fixed by shape decisions alone).
 func (m *Machine) pointerShapeOnly(l *symbolic.Lin) bool {
-	for _, v := range l.Vars() {
-		if !m.inputs.IsPointerVar(v) {
+	for v := range l.Coeffs {
+		if !m.trie.isPointerVar(v) {
 			return false
 		}
 	}

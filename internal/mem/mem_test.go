@@ -9,7 +9,7 @@ func TestGlobalsZeroFilled(t *testing.T) {
 	m := New()
 	base := m.MapGlobals(4)
 	for i := int64(0); i < 4; i++ {
-		v, err := m.Load(base + i)
+		v, _, err := m.Load(base + i)
 		if err != nil || v != 0 {
 			t.Fatalf("cell %d: v=%d err=%v", i, v, err)
 		}
@@ -19,10 +19,10 @@ func TestGlobalsZeroFilled(t *testing.T) {
 func TestLoadStoreRoundTrip(t *testing.T) {
 	m := New()
 	base := m.MapGlobals(2)
-	if err := m.Store(base, 42); err != nil {
+	if err := m.Store(base, 42, nil); err != nil {
 		t.Fatal(err)
 	}
-	v, err := m.Load(base)
+	v, _, err := m.Load(base)
 	if err != nil || v != 42 {
 		t.Fatalf("v=%d err=%v", v, err)
 	}
@@ -30,7 +30,7 @@ func TestLoadStoreRoundTrip(t *testing.T) {
 
 func TestNullDereference(t *testing.T) {
 	m := New()
-	if _, err := m.Load(0); err == nil {
+	if _, _, err := m.Load(0); err == nil {
 		t.Fatal("NULL read did not fault")
 	} else {
 		var f *Fault
@@ -38,7 +38,7 @@ func TestNullDereference(t *testing.T) {
 			t.Fatalf("wrong fault: %v", err)
 		}
 	}
-	if err := m.Store(0, 1); err == nil {
+	if err := m.Store(0, 1, nil); err == nil {
 		t.Fatal("NULL write did not fault")
 	}
 }
@@ -50,14 +50,14 @@ func TestUnmappedAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Within the region: fine.
-	if _, err := m.Load(base + 1); err != nil {
+	if _, _, err := m.Load(base + 1); err != nil {
 		t.Fatal(err)
 	}
 	// One past the end: guard gap faults (heap overflow detection).
-	if _, err := m.Load(base + 2); err == nil {
+	if _, _, err := m.Load(base + 2); err == nil {
 		t.Fatal("overflow read did not fault")
 	}
-	if err := m.Store(base+2, 9); err == nil {
+	if err := m.Store(base+2, 9, nil); err == nil {
 		t.Fatal("overflow write did not fault")
 	}
 }
@@ -99,7 +99,7 @@ func TestFree(t *testing.T) {
 	if err := m.Free(a); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Load(a); err == nil {
+	if _, _, err := m.Load(a); err == nil {
 		t.Fatal("use after free did not fault")
 	}
 	if err := m.Free(a); err == nil {
@@ -121,7 +121,7 @@ func TestFree(t *testing.T) {
 func TestFrames(t *testing.T) {
 	m := New()
 	f1 := m.PushFrame(4)
-	if err := m.Store(f1+3, 7); err != nil {
+	if err := m.Store(f1+3, 7, nil); err != nil {
 		t.Fatal(err)
 	}
 	f2 := m.PushFrame(2)
@@ -129,7 +129,7 @@ func TestFrames(t *testing.T) {
 		t.Fatal("frames should grow upward")
 	}
 	m.PopFrame(f2, 2)
-	if _, err := m.Load(f2); err == nil {
+	if _, _, err := m.Load(f2); err == nil {
 		t.Fatal("popped frame still accessible")
 	}
 	// Pushing again reuses the address space, zero-filled.
@@ -137,7 +137,7 @@ func TestFrames(t *testing.T) {
 	if f3 != f2 {
 		t.Fatalf("expected frame address reuse: %d vs %d", f3, f2)
 	}
-	v, err := m.Load(f3)
+	v, _, err := m.Load(f3)
 	if err != nil || v != 0 {
 		t.Fatalf("recycled frame not zeroed: v=%d err=%v", v, err)
 	}

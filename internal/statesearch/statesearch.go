@@ -20,9 +20,7 @@ import (
 
 	"dart/internal/ir"
 	"dart/internal/machine"
-	"dart/internal/symbolic"
 	"dart/internal/token"
-	"dart/internal/types"
 )
 
 // Options configures a bounded search.
@@ -71,12 +69,9 @@ func (b *Bug) String() string {
 // deterministic as VeriSoft's closed product requires.
 type fixedInputs struct{}
 
-func (fixedInputs) ScalarInput(string, *types.Basic) int64 { return 0 }
-func (fixedInputs) PointerInput(string) bool               { return false }
-func (fixedInputs) VarOf(string, symbolic.VarKind, *types.Basic) (symbolic.Var, bool) {
-	return 0, false
-}
-func (fixedInputs) IsPointerVar(symbolic.Var) bool { return false }
+func (fixedInputs) ScalarInput(*machine.Input) int64 { return 0 }
+func (fixedInputs) PointerInput(*machine.Input) bool { return false }
+func (fixedInputs) Symbolic() bool                   { return false }
 
 // Search explores input sequences breadth-first with global-state
 // pruning.
@@ -189,7 +184,7 @@ func hashGlobals(m *machine.Machine, size int64) uint64 {
 	h := uint64(offset64)
 	base := m.GlobalAddr(0)
 	for i := int64(0); i < size; i++ {
-		v, err := m.Mem().Load(base + i)
+		v, _, err := m.Mem().Load(base + i)
 		if err != nil {
 			v = 0
 		}
