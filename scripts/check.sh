@@ -10,10 +10,12 @@ go vet ./...
 # benchmark's build directory holds third-party module sources).
 unformatted=$(find . -name '*.go' -not -path './.bench_build/*' -exec gofmt -l {} +)
 test -z "$unformatted"
-# Trace-golden gate: the fixed-seed E1 traces (DFS, BFS, random mode)
-# and the one-worker engine-signature golden must stay byte-identical
-# (regenerate deliberately with `go test -run 'TestTraceGolden|TestEngineSignatureGolden' -update .`).
-go test -run 'TestTraceGolden|TestEngineSignatureGolden' .
+# Trace-golden gate: the fixed-seed E1 traces (DFS, BFS, random mode),
+# the one-worker engine-signature golden and the cold minisip audit's
+# corpus (every fn/ entry and the sorted solve log) must stay
+# byte-identical (regenerate deliberately with
+# `go test -run 'TestTraceGolden|TestEngineSignatureGolden|TestMinisipCorpusGolden' -update .`).
+go test -run 'TestTraceGolden|TestEngineSignatureGolden|TestMinisipCorpusGolden' .
 go test -race ./...
 # The benchmark is a Go module of its own, so the root `go test ./...`
 # does not reach its tests (the pk1 key round trip against
@@ -28,10 +30,11 @@ go test -count=1 -run 'TestServerLiveAudit' ./internal/ops/
 # jobs-independence with the cache on, and replayable random-mode bugs.
 go test -count=1 -run 'TestSolveCache|TestSlicingOnClusters|TestRandomBugsReplay' ./internal/concolic/
 go test -count=1 -run 'TestAuditCacheDeterministicAcrossJobs' ./internal/audit/
-# Parallel search gate: worker-count determinism, pool invariants, and
-# the shared solve cache under the race detector, then a real CLI audit
-# driving the pool end to end (exit 1 = bugs found, the expected result).
-go test -count=1 -race -run 'TestWorkers|TestParallel|TestFrontierDrop|TestNoPhantomFlips' ./internal/concolic/
+# Parallel search gate: worker-count determinism, pool invariants, the
+# shared input registry and the shared solve cache under the race
+# detector, then a real CLI audit driving the pool end to end (exit 1 =
+# bugs found, the expected result).
+go test -count=1 -race -run 'TestWorkers|TestParallel|TestFrontierDrop|TestNoPhantomFlips|TestRegistryConcurrentIntern' ./internal/concolic/
 go test -count=1 -race -run 'TestShardedCache' ./internal/solver/
 go test -count=1 -race -run 'TestAuditParallelWorkersFindSameBugs' ./internal/audit/
 # Serve gate (audit as a service): flood POST /jobs past the queue
@@ -112,11 +115,11 @@ diff "$tmp/explain-w1.json" "$tmp/explain-w4.json"
 # progs corpus and the minisip audit at -workers 1/2/8 under the race
 # detector; the pooled machine must not leak state between runs
 # (poisoned-run reuse, step-counter reset, narrow-store sign
-# extension), pooled reports must not alias machine state, and the
-# taint bitmap must skip the shadow on concrete runs without moving
-# the explain ledger.
+# extension), pooled reports must not alias machine state, the taint
+# bitmap must skip the shadow on concrete runs without moving the
+# explain ledger, and library black boxes must keep S right.
 go test -count=1 -race -run 'TestCompiledMatchesInterp' .
-go test -count=1 -race -run 'TestBugsSurvivePooledReuse|TestConcreteSearchZeroShadowPhase|TestTaintSpreadExplainParity' .
+go test -count=1 -race -run 'TestBugsSurvivePooledReuse|TestConcreteSearchZeroShadowPhase|TestTaintSpreadExplainParity|TestLibBlackBoxWitnesses' .
 go test -count=1 -run 'TestNarrowStoreParity|TestResetClearsStepCounter|TestResetAfterPoisonedRun|TestBranchSnapshotDetachedFromPool|TestConcreteRunSkipsShadow|TestCompiledErrorMessagesMatchInterp|TestCompile' ./internal/machine/
 # CLI: -xcheck runs both engines back to back and exits nonzero on any
 # signature divergence.
