@@ -180,11 +180,17 @@ func (p *parser) structDecl() ast.Decl {
 	p.expect(token.LBRACE)
 	var fields []ast.Param
 	for !p.at(token.RBRACE) && !p.at(token.EOF) {
+		before := p.pos
 		spec := p.typeSpec()
 		fname := p.expect(token.IDENT).Lit
 		spec = p.arraySuffix(spec)
 		fields = append(fields, ast.Param{Name: fname, Spec: spec})
 		p.expect(token.SEMICOLON)
+		if p.pos == before {
+			// Guarantee progress on malformed input.
+			p.errorf(p.cur().Pos, "unexpected %s in struct %s", p.cur(), name)
+			p.next()
+		}
 	}
 	p.expect(token.RBRACE)
 	p.expect(token.SEMICOLON)

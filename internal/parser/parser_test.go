@@ -209,6 +209,7 @@ func TestSyntaxErrors(t *testing.T) {
 		"int f() { return 1 }",
 		"int f() { if x) return 1; }",
 		"struct s { int };",
+		"struct s { < };",
 		"int f() { goto end; }",
 		"int 3x;",
 		"}",
