@@ -363,7 +363,7 @@ func (c *Compiled) compileIns(ins ir.Instr, pc int, f *ir.Func) cop {
 				}
 			}
 			if anySymbolic {
-				m.clearAllLinear()
+				m.allLinear = false
 			}
 			ret, err := impl(m, args)
 			if err != nil {

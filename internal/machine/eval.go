@@ -160,7 +160,7 @@ func (m *Machine) evalSym(e ir.Expr, frame int64) (l *symbolic.Lin, k int64, fau
 				// Dereference through an arithmetic-input-dependent
 				// address: the paper's all_locs_definite case — fall
 				// back to the concrete value.
-				m.clearAllLocsDefinite()
+				m.allLocsDefinite = false
 				return m.concreteK(e, frame)
 			}
 			// Refinement (invited by Sec. 2.3): the address depends only
@@ -188,7 +188,7 @@ func (m *Machine) evalSym(e ir.Expr, frame int64) (l *symbolic.Lin, k int64, fau
 			if r := m.lins.Scale(a, -1); r != nil {
 				return m.wrapK(r, e.Ty)
 			}
-			m.clearAllLinear()
+			m.allLinear = false
 			return m.concreteK(e, frame)
 		case ir.Conv:
 			if la == nil {
@@ -197,13 +197,13 @@ func (m *Machine) evalSym(e ir.Expr, frame int64) (l *symbolic.Lin, k int64, fau
 			// Width truncation of a symbolic value is non-linear; treat
 			// the common no-op case (value provably in range is unknowable
 			// here) conservatively.
-			m.clearAllLinear()
+			m.allLinear = false
 			return m.concreteK(e, frame)
 		default: // Not, Compl
 			if la == nil {
 				return m.concreteK(e, frame)
 			}
-			m.clearAllLinear()
+			m.allLinear = false
 			return m.concreteK(e, frame)
 		}
 	case *ir.Bin:
@@ -264,7 +264,7 @@ func (m *Machine) evalSym(e ir.Expr, frame int64) (l *symbolic.Lin, k int64, fau
 		// Division, modulus, bitwise operators, comparisons used as
 		// values, shifts by symbolic amounts, symbolic*symbolic: all
 		// outside linear integer arithmetic.
-		m.clearAllLinear()
+		m.allLinear = false
 		return m.concreteK(e, frame)
 	}
 	return nil, 0, true

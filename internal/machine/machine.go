@@ -16,7 +16,6 @@ import (
 
 	"dart/internal/ir"
 	"dart/internal/mem"
-	"dart/internal/obs"
 	"dart/internal/symbolic"
 	"dart/internal/token"
 	"dart/internal/types"
@@ -156,10 +155,6 @@ type Config struct {
 	// Cancel, when non-nil, interrupts the run as soon as it is closed
 	// (checked on the same amortized schedule as Deadline).
 	Cancel <-chan struct{}
-	// Observer, when non-nil, receives FallbackConcrete trace events on
-	// the true-to-false transition of a completeness flag (at most one
-	// per flag per run, so observation never sits on the step loop).
-	Observer obs.Sink
 	// Code, when non-nil, selects the closure-threaded compiled engine
 	// (see compile.go); it must have been produced by Compile on the same
 	// Prog.  Nil selects the reference tree-walking interpreter.  One
@@ -195,9 +190,6 @@ type Machine struct {
 	// Completeness flags of Fig. 2 (true = still complete).
 	allLinear       bool
 	allLocsDefinite bool
-
-	// obs receives FallbackConcrete events on flag transitions.
-	obs obs.Sink
 
 	// Branches is the executed conditional sequence (stack material).
 	Branches []BranchRec
@@ -273,7 +265,6 @@ func New(cfg Config) (*Machine, error) {
 		supervised:      !cfg.Deadline.IsZero() || cfg.Cancel != nil,
 		deadline:        cfg.Deadline,
 		cancel:          cfg.Cancel,
-		obs:             cfg.Observer,
 	}
 	if m.maxSteps == 0 {
 		m.maxSteps = DefaultMaxSteps
@@ -346,32 +337,6 @@ func (m *Machine) Reset(inputs InputSource) error {
 // linear theory during this run.
 func (m *Machine) AllLinear() bool { return m.allLinear }
 
-// clearAllLinear clears the all_linear completeness flag (Fig. 1's
-// fallback to the concrete value), emitting one FallbackConcrete trace
-// event on the transition.
-func (m *Machine) clearAllLinear() {
-	if !m.allLinear {
-		return
-	}
-	m.allLinear = false
-	if m.obs != nil {
-		m.obs.Event(obs.Event{Kind: obs.FallbackConcrete, Flag: "all_linear"})
-	}
-}
-
-// clearAllLocsDefinite clears the all_locs_definite completeness flag
-// (an input-dependent dereference), emitting one FallbackConcrete trace
-// event on the transition.
-func (m *Machine) clearAllLocsDefinite() {
-	if !m.allLocsDefinite {
-		return
-	}
-	m.allLocsDefinite = false
-	if m.obs != nil {
-		m.obs.Event(obs.Event{Kind: obs.FallbackConcrete, Flag: "all_locs_definite"})
-	}
-}
-
 // AllLocsDefinite reports whether every dereferenced address was
 // input-independent during this run.
 func (m *Machine) AllLocsDefinite() bool { return m.allLocsDefinite }
@@ -394,7 +359,7 @@ func (m *Machine) LoadCell(addr int64) (int64, error) {
 		return 0, err
 	}
 	if sym != nil {
-		m.clearAllLinear()
+		m.allLinear = false
 	}
 	return v, nil
 }
@@ -830,7 +795,7 @@ func (m *Machine) doCallLib(ins *ir.CallLib, frame int64) *RunError {
 	// A black box fed input-dependent values takes the analysis outside
 	// the theory: fall back to concrete and clear the completeness flag.
 	if anySymbolic {
-		m.clearAllLinear()
+		m.allLinear = false
 	}
 	ret, err := impl(m, args)
 	if err != nil {
@@ -897,7 +862,7 @@ func (m *Machine) branchPred(cond ir.Expr, frame int64, taken bool) (symbolic.Pr
 			}
 			diff := m.lins.Sub(la, lb)
 			if diff == nil {
-				m.clearAllLinear()
+				m.allLinear = false
 				return symbolic.Pred{}, false, FallbackNonlinear
 			}
 			rel := relOf(c.Op)

@@ -143,7 +143,8 @@ func (d *DirCause) empty() bool {
 
 // SiteCause is the raw ledger entry for one branch site: the cause
 // tallies of both directions.  Site is the machine's global branch-site
-// index; Pos its source position.
+// index; Pos its source position, which the engine stamps from the
+// program's site table when the search finishes.
 type SiteCause struct {
 	Site     int      `json:"site"`
 	Pos      string   `json:"pos,omitempty"`
@@ -172,13 +173,11 @@ func NewExplain(worker int) *Explain {
 	return &Explain{worker: worker, sites: make(map[int]*SiteCause)}
 }
 
-func (e *Explain) site(site int, pos string) *SiteCause {
+func (e *Explain) site(site int) *SiteCause {
 	s := e.sites[site]
 	if s == nil {
-		s = &SiteCause{Site: site, Pos: pos}
+		s = &SiteCause{Site: site}
 		e.sites[site] = s
-	} else if s.Pos == "" {
-		s.Pos = pos
 	}
 	return s
 }
@@ -188,11 +187,11 @@ func (e *Explain) site(site int, pos string) *SiteCause {
 // "budget-exhausted" are tallied as terminal causes, and an unsat
 // verdict may carry the rendered slice that proved infeasibility
 // (min-lex kept).  No-op on nil.
-func (e *Explain) RecordSolve(site int, pos string, taken bool, verdict, unsatSlice string) {
+func (e *Explain) RecordSolve(site int, taken bool, verdict, unsatSlice string) {
 	if e == nil {
 		return
 	}
-	d := e.site(site, pos).dir(taken)
+	d := e.site(site).dir(taken)
 	d.Attempts++
 	switch verdict {
 	case "unsat":
@@ -209,11 +208,11 @@ func (e *Explain) RecordSolve(site int, pos string, taken bool, verdict, unsatSl
 // flippable predicate; taken is the direction the flip would have
 // targeted, kind one of "nonlinear", "pointer", "concrete".  No-op on
 // nil.
-func (e *Explain) RecordFallback(site int, pos string, taken bool, kind string) {
+func (e *Explain) RecordFallback(site int, taken bool, kind string) {
 	if e == nil {
 		return
 	}
-	d := e.site(site, pos).dir(taken)
+	d := e.site(site).dir(taken)
 	switch kind {
 	case "nonlinear":
 		d.Nonlinear++
@@ -226,29 +225,29 @@ func (e *Explain) RecordFallback(site int, pos string, taken bool, kind string) 
 
 // RecordMispredict records a sat flip whose run diverged before
 // reaching the target site.  No-op on nil.
-func (e *Explain) RecordMispredict(site int, pos string, taken bool) {
+func (e *Explain) RecordMispredict(site int, taken bool) {
 	if e == nil {
 		return
 	}
-	e.site(site, pos).dir(taken).Mispredicts++
+	e.site(site).dir(taken).Mispredicts++
 }
 
 // RecordDropped records a pending flip truncated on frontier overflow.
 // No-op on nil.
-func (e *Explain) RecordDropped(site int, pos string, taken bool) {
+func (e *Explain) RecordDropped(site int, taken bool) {
 	if e == nil {
 		return
 	}
-	e.site(site, pos).dir(taken).Dropped++
+	e.site(site).dir(taken).Dropped++
 }
 
 // RecordDepthLimit records a flip skipped beyond the branch-depth cap.
 // No-op on nil.
-func (e *Explain) RecordDepthLimit(site int, pos string, taken bool) {
+func (e *Explain) RecordDepthLimit(site int, taken bool) {
 	if e == nil {
 		return
 	}
-	e.site(site, pos).dir(taken).DepthLimit++
+	e.site(site).dir(taken).DepthLimit++
 }
 
 // Snapshot freezes the collector into mergeable plain data, sorted by
@@ -313,9 +312,6 @@ func (s *ExplainSnapshot) Merge(o *ExplainSnapshot) {
 			continue
 		}
 		dst := &s.Sites[i]
-		if dst.Pos == "" {
-			dst.Pos = o.Pos
-		}
 		dst.Taken.merge(&o.Taken)
 		dst.NotTaken.merge(&o.NotTaken)
 	}

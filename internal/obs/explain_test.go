@@ -9,11 +9,11 @@ import (
 // discipline — every Record* method and Snapshot are safe on nil.
 func TestExplainNilNoop(t *testing.T) {
 	var e *Explain
-	e.RecordSolve(1, "1:1", true, "unsat", "x > 0")
-	e.RecordFallback(1, "1:1", false, "nonlinear")
-	e.RecordMispredict(2, "2:2", true)
-	e.RecordDropped(2, "2:2", false)
-	e.RecordDepthLimit(3, "3:3", true)
+	e.RecordSolve(1, true, "unsat", "x > 0")
+	e.RecordFallback(1, false, "nonlinear")
+	e.RecordMispredict(2, true)
+	e.RecordDropped(2, false)
+	e.RecordDepthLimit(3, true)
 	if snap := e.Snapshot(); snap != nil {
 		t.Fatalf("nil collector snapshot = %+v, want nil", snap)
 	}
@@ -32,12 +32,12 @@ func TestExplainNilNoop(t *testing.T) {
 // by site index.
 func TestExplainRecordSnapshot(t *testing.T) {
 	e := NewExplain(0)
-	e.RecordSolve(7, "7:1", true, "unsat", "(b)")
-	e.RecordSolve(7, "7:1", true, "unsat", "(a)")
-	e.RecordSolve(7, "7:1", true, "sat", "")
-	e.RecordSolve(3, "3:1", false, "budget-exhausted", "")
-	e.RecordFallback(3, "3:1", true, "pointer")
-	e.RecordMispredict(3, "3:1", false)
+	e.RecordSolve(7, true, "unsat", "(b)")
+	e.RecordSolve(7, true, "unsat", "(a)")
+	e.RecordSolve(7, true, "sat", "")
+	e.RecordSolve(3, false, "budget-exhausted", "")
+	e.RecordFallback(3, true, "pointer")
+	e.RecordMispredict(3, false)
 
 	snap := e.Snapshot()
 	if snap == nil || snap.Workers != 1 {

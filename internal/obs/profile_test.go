@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -11,8 +12,8 @@ import (
 func TestProfileNilNoOp(t *testing.T) {
 	var p *Profile
 	p.Span(SpanSolve, time.Second)
-	p.RecordSolve(3, "1:1", "sat", 10, 100, "miss")
-	p.RecordFlip(3, "1:1")
+	p.RecordSolve(3, "sat", 10, 100, "miss")
+	p.RecordFlip(3)
 	if snap := p.Snapshot(); snap != nil {
 		t.Fatalf("nil profile snapshot = %+v, want nil", snap)
 	}
@@ -23,12 +24,12 @@ func TestProfileRecordAndSnapshot(t *testing.T) {
 	p.Span(SpanExec, 5*time.Millisecond)
 	p.Span(SpanExec, 3*time.Millisecond)
 	p.Span(SpanSolve, 2*time.Millisecond)
-	p.RecordSolve(1, "4:9", "sat", 7, 100, "miss")
-	p.RecordSolve(1, "4:9", "unsat", 5, 50, "miss")
-	p.RecordSolve(1, "4:9", "sat", 0, 10, "hit")
-	p.RecordSolve(0, "2:5", "budget-exhausted", 1000, 900, "")
-	p.RecordFlip(1, "4:9")
-	p.RecordFlip(1, "4:9")
+	p.RecordSolve(1, "sat", 7, 100, "miss")
+	p.RecordSolve(1, "unsat", 5, 50, "miss")
+	p.RecordSolve(1, "sat", 0, 10, "hit")
+	p.RecordSolve(0, "budget-exhausted", 1000, 900, "")
+	p.RecordFlip(1)
+	p.RecordFlip(1)
 
 	snap := p.Snapshot()
 	if snap.Workers != 1 {
@@ -46,7 +47,7 @@ func TestProfileRecordAndSnapshot(t *testing.T) {
 		t.Fatalf("sites = %+v", snap.Sites)
 	}
 	s1 := snap.Sites[1]
-	if s1.Fn != "f" || s1.Pos != "4:9" {
+	if s1.Fn != "f" {
 		t.Errorf("site 1 identity = %+v", s1)
 	}
 	if s1.Solves != 3 || s1.SolveNanos != 160 || s1.Work != 12 {
@@ -74,8 +75,8 @@ func TestProfileSnapshotMerge(t *testing.T) {
 	mk := func(worker int) *ProfileSnapshot {
 		p := NewProfile("f", worker)
 		p.Span(SpanSolve, time.Duration(worker)*time.Millisecond)
-		p.RecordSolve(0, "1:1", "sat", int64(worker), 10, "miss")
-		p.RecordFlip(0, "1:1")
+		p.RecordSolve(0, "sat", int64(worker), 10, "miss")
+		p.RecordFlip(0)
 		return p.Snapshot()
 	}
 	a, b := mk(1), mk(2)
@@ -108,7 +109,7 @@ func TestProfileSnapshotMerge(t *testing.T) {
 	}
 	// Distinct functions stay distinct rows.
 	other := NewProfile("g", 1)
-	other.RecordSolve(0, "9:9", "sat", 1, 1, "")
+	other.RecordSolve(0, "sat", 1, 1, "")
 	ab.Merge(other.Snapshot())
 	if len(ab.Sites) != 2 || ab.Sites[1].Fn != "g" {
 		t.Errorf("cross-fn merge = %+v", ab.Sites)
@@ -154,10 +155,14 @@ func TestProfileMergeAppendThenUpdate(t *testing.T) {
 func TestProfileTopSitesAndTable(t *testing.T) {
 	p := NewProfile("f", 0)
 	p.Span(SpanExec, time.Millisecond)
-	p.RecordSolve(0, "1:1", "sat", 1, 10, "miss")
-	p.RecordSolve(1, "2:2", "sat", 100, 5000, "miss")
-	p.RecordSolve(2, "3:3", "unsat", 50, 2000, "hit")
+	p.RecordSolve(0, "sat", 1, 10, "miss")
+	p.RecordSolve(1, "sat", 100, 5000, "miss")
+	p.RecordSolve(2, "unsat", 50, 2000, "hit")
 	snap := p.Snapshot()
+	// Positions are the engine's to stamp from its site table.
+	for i := range snap.Sites {
+		snap.Sites[i].Pos = fmt.Sprintf("%d:%d", i+1, i+1)
+	}
 
 	top := snap.TopSites(2)
 	if len(top) != 2 || top[0].Site != 1 || top[1].Site != 2 {
