@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dart/internal/machine"
+	"dart/internal/obs"
 )
 
 // diverging loops forever once the guard is satisfied; with an
@@ -110,11 +111,13 @@ int g(int x) {
     return 0;
 }
 `)
+	var c obs.Collector
 	rep, err := Run(prog, Options{
 		Toplevel: "g",
 		MaxRuns:  100,
 		Seed:     1,
 		LibImpls: panicImpls(),
+		Observer: &c,
 	})
 	if err != nil {
 		t.Fatalf("an isolated panic must not surface as an error: %v", err)
@@ -134,6 +137,21 @@ int g(int x) {
 	}
 	if rep.Runs < 2 {
 		t.Errorf("Runs = %d: the search should have continued past the fault", rep.Runs)
+	}
+	// A faulted run is still a run in every view: the metrics, the
+	// steps histogram and the trace's run-end events count it too.
+	if got := rep.Metrics.Counters[obs.CRuns]; got != int64(rep.Runs) {
+		t.Errorf("metrics runs = %d, want Report.Runs = %d", got, rep.Runs)
+	}
+	if got := rep.Metrics.Histograms[obs.HStepsPerRun].Count; got != int64(rep.Runs) {
+		t.Errorf("steps_per_run count = %d, want %d", got, rep.Runs)
+	}
+	kinds := map[obs.Kind]int{}
+	for _, ev := range c.Events() {
+		kinds[ev.Kind]++
+	}
+	if kinds[obs.RunStart] != kinds[obs.RunEnd] {
+		t.Errorf("run-start events = %d, run-end events = %d, want equal", kinds[obs.RunStart], kinds[obs.RunEnd])
 	}
 }
 

@@ -85,6 +85,9 @@ func (t *Tree) Event(ev Event) {
 	defer t.mu.Unlock()
 	switch ev.Kind {
 	case RunEnd:
+		if ev.Outcome == OutcomeInternalError {
+			return // no recorded path to place the run on
+		}
 		n := t.walk(ev.Path, true)
 		if n == nil {
 			return
