@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race vet experiments bench-scale
+.PHONY: build test check race vet experiments
 
 build:
 	$(GO) build ./...
@@ -14,16 +14,12 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# check is the full gate: everything test runs, plus vet and the race
-# detector over the concurrent audit pool.
-check: build vet race
+# check is the full gate: scripts/check.sh builds, vets, checks gofmt
+# and the goldens, smoke-fuzzes the front end, runs the race detector,
+# the bench module's tests and the CLI, serve, profiler, explainer,
+# engine and incremental gates.
+check:
+	sh scripts/check.sh
 
 experiments:
 	$(GO) run ./cmd/dart-experiments
-
-# bench-scale measures the parallel frontier's worker scaling curve on a
-# machine-heavy and a solver-heavy workload (1/2/4/8 workers; see
-# BENCH_pr5.json for recorded numbers and scripts/bench.sh for the full
-# gate).  Speedup is bounded by the cores actually available.
-bench-scale:
-	$(GO) test -run '^$$' -bench 'BenchmarkWorkerScaling' -count=3 .

@@ -324,8 +324,9 @@ func BenchmarkSolverHeavyGate(b *testing.B) {
 // second (the paper's search did ~300 runs/s on 2005 hardware).  The
 // compiled/interp split is the PR 9 engine A/B: identical search (the
 // differential gate proves the reports byte-identical), only the
-// execution engine differs.  The BENCH_pr9.json gate requires compiled
-// ≥2× the BENCH_pr7 baseline with allocs/op down ≥10×.
+// execution engine differs.  The PR 9 and PR 10 entries of CHANGES.md
+// hold its gates: compiled ≥2× the pre-compilation baseline, with
+// allocs/op down ≥10×.
 func BenchmarkMachineThroughput(b *testing.B) {
 	prog := benchProgram(b, protocols.Source(protocols.DolevYao, protocols.NoFix))
 	for _, v := range []struct {
@@ -352,8 +353,8 @@ func BenchmarkMachineThroughput(b *testing.B) {
 // BenchmarkProfileOverhead: the profiler's cost discipline as a direct
 // A/B.  "off" is the default path — a nil *obs.Profile whose methods
 // are no-ops and which reads no clock, so it must stay within noise of
-// a build that predates the profiler (the BENCH_pr7.json gate, <2% on
-// per-side minimums).  "on" prices what span-attributed timing costs
+// a build that predates the profiler (the PR 7 entry of CHANGES.md,
+// <2% on per-side minimums).  "on" prices what span-attributed timing costs
 // when asked for; it is allowed to be slower, it just has to be honest
 // about it.  The machine-heavy workload maximises spans per second and
 // is therefore the worst case for both sides.
@@ -441,8 +442,8 @@ func BenchmarkCompile(b *testing.B) {
 // — IR hash check, distilled-suite replay, bug-fixture validation.
 // The 1000-run budget is the paper's own (Sec. 4.3); replay cost is
 // proportional to the distilled suite, not the search budget, which is
-// the point of distillation.  Gate (BENCH_pr10.json): warm ns/op at
-// least 10x below cold; verdict equality itself is
+// the point of distillation.  Gate (the PR 10 entry of CHANGES.md):
+// warm ns/op at least 10x below cold; verdict equality itself is
 // TestIncrementalSIPWarmMatchesCold's job.
 func BenchmarkIncrementalReaudit(b *testing.B) {
 	prog, sem, err := minisip.Compile()
