@@ -28,7 +28,6 @@ import (
 	"dart/internal/obs"
 	"dart/internal/rng"
 	"dart/internal/solver"
-	"dart/internal/symbolic"
 	"dart/internal/token"
 )
 
@@ -609,12 +608,8 @@ type engine struct {
 	// drv is this engine's test driver and pooled machine.
 	drv *driver
 	// path is the classic engine's index of the current run's path
-	// constraint, rebuilt in place once per run by solveNext.
+	// constraint and hint, rebuilt in place once per run by solveNext.
 	path solver.Path
-	// hintbuf is the classic engine's reusable hint map: the solver
-	// reads it during the solve and copies what it keeps into fresh
-	// models.
-	hintbuf map[symbolic.Var]int64
 	// scratch is this engine's working memory for slicing and verifying
 	// flips, whichever engine built their Path (a pool worker solves
 	// siblings that another worker indexed).

@@ -402,9 +402,9 @@ func (e *engine) decisionDepth(rec machine.BranchRec) int {
 // last also clears SolverComplete: the branch may have been feasible, so
 // the search degrades toward random testing instead of grinding on an
 // adversarial constraint system).
-func (e *engine) attempt(f flipRef, path *solver.Path, n int, hint map[symbolic.Var]int64) (map[symbolic.Var]int64, bool) {
+func (e *engine) attempt(f flipRef, path *solver.Path, n int) (map[symbolic.Var]int64, bool) {
 	e.emit(&obs.Event{Kind: obs.SolverCall, Run: e.report.Runs, Depth: f.depth, PCLen: n + 1, Path: f.path, Site: f.site + 1})
-	out := e.solveIsolated(path, n, hint)
+	out := e.solveIsolated(path, n)
 	r := e.report
 	r.SolverCalls++
 	r.SlicedPreds += int64(out.sliced)
@@ -456,14 +456,15 @@ func (e *engine) solveNext(branches []machine.BranchRec) bool {
 		if !indexed {
 			// Index the run's path constraint once: every attempt below
 			// solves a prefix of it with its last predicate negated, and
-			// the input vector stays the run's until a flip succeeds.
+			// the input vector, the path's hint, stays the run's until a
+			// flip succeeds.
 			e.path.Reset()
 			for _, rec := range branches[:ktry] {
 				if rec.HasPred {
 					e.path.Add(rec.Pred)
 				}
 			}
-			e.hintbuf = e.hint(&e.path, e.im, e.hintbuf)
+			e.path.SetHint(e.im.get)
 			indexed = true
 		}
 		// The flip solves preds[:n] ∧ ¬preds[n]: n predicates precede
@@ -478,7 +479,7 @@ func (e *engine) solveNext(branches []machine.BranchRec) bool {
 		if e.obs != nil {
 			f.path = flipPath(branches, j)
 		}
-		sol, ok := e.attempt(f, &e.path, n, e.hintbuf)
+		sol, ok := e.attempt(f, &e.path, n)
 		if !ok {
 			// This branch cannot be flipped under its fixed prefix: mark
 			// it done and keep looking, which is Fig. 5's recursive call
@@ -498,26 +499,6 @@ func (e *engine) solveNext(branches []machine.BranchRec) bool {
 		return true
 	}
 	return false
-}
-
-// hint exposes the input vector im as an assignment to path's
-// variables, used to preserve don't-care inputs and to bias disequality
-// splits.  A flip of path mentions no other variable, so none other can
-// reach its solve, key or verification.  into, when non-nil, is cleared
-// and reused.
-func (e *engine) hint(path *solver.Path, im *vector, into map[symbolic.Var]int64) map[symbolic.Var]int64 {
-	pvars := path.Vars()
-	if into == nil {
-		into = make(map[symbolic.Var]int64, len(pvars))
-	} else {
-		clear(into)
-	}
-	for _, v := range pvars {
-		if x, ok := im.get(v); ok {
-			into[v] = x
-		}
-	}
-	return into
 }
 
 // meta returns the solver domain of a variable: its input's C type.

@@ -4,7 +4,6 @@ import (
 	"dart/internal/machine"
 	"dart/internal/obs"
 	"dart/internal/solver"
-	"dart/internal/symbolic"
 )
 
 // The frontier implements the alternative branch-selection orders of the
@@ -54,26 +53,32 @@ type frontierItem struct {
 
 // parentRun is what the pending flips of one finished run share,
 // read-only once built: the run's branch outcomes, its indexed path
-// constraint, the input vector that drove it, and that vector as a hint
-// over the path's variables.
+// constraint with the run's inputs as its hint, and the input vector
+// that drove it.
 type parentRun struct {
 	outcomes []bool
 	path     *solver.Path
 	im       *vector
-	hint     map[symbolic.Var]int64
 }
 
 // childItems builds the pending-flip children of a finished run: one
 // item per flippable conditional at index >= bound (the generational
 // expansion rule).  The children share one parentRun: the run's path
-// constraint is indexed once for all of them.
+// constraint and hint are indexed once for all of them, before any child
+// reaches the pool.
 //
 // The run's input vector passes to the children without a copy: the
 // engine writes e.im only while running, and it replaces e.im with a
 // copy (solveItem on Sat) before it runs again; only the root run, which
 // no child precedes, restarts on a cleared vector (frontierRoot).
 func (e *engine) childItems(branches []machine.BranchRec, bound int) []frontierItem {
-	run := &parentRun{outcomes: make([]bool, len(branches)), path: solver.NewPath(len(branches)), im: e.im}
+	npreds := 0
+	for _, rec := range branches {
+		if rec.HasPred {
+			npreds++
+		}
+	}
+	run := &parentRun{outcomes: make([]bool, len(branches)), path: solver.NewPath(npreds), im: e.im}
 	var kids []frontierItem
 	for j, rec := range branches {
 		run.outcomes[j] = rec.Taken
@@ -94,7 +99,7 @@ func (e *engine) childItems(branches []machine.BranchRec, bound int) []frontierI
 		kids = append(kids, frontierItem{parent: run, n: n, flipTaken: !rec.Taken, depth: j, site: rec.Site})
 	}
 	if len(kids) > 0 {
-		run.hint = e.hint(run.path, run.im, nil)
+		run.path.SetHint(run.im.get)
 	}
 	return kids
 }
@@ -134,7 +139,7 @@ func (e *engine) solveItem(item frontierItem) bool {
 	if e.obs != nil {
 		f.path = itemPath(item)
 	}
-	sol, ok := e.attempt(f, run.path, item.n, run.hint)
+	sol, ok := e.attempt(f, run.path, item.n)
 	if !ok {
 		return false
 	}

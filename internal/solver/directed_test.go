@@ -3,6 +3,8 @@ package solver
 import (
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -219,10 +221,93 @@ func sliceOf(pc []symbolic.Pred) ([]symbolic.Pred, int) {
 	return p.Slice(n, new(PathScratch))
 }
 
-// verifyOf verifies sol against the flip constraint pc through a Path.
+// verifyOf verifies sol against the flip constraint pc through a Path
+// hinted with hint.
 func verifyOf(pc []symbolic.Pred, meta func(symbolic.Var) VarMeta, sol, hint map[symbolic.Var]int64) bool {
 	p, n := flipPath(pc)
-	return p.Verify(n, meta, sol, hint, new(PathScratch))
+	p.SetHint(hintFrom(hint))
+	return p.Verify(n, meta, sol, new(PathScratch))
+}
+
+// hintFrom is a map hint as Path.SetHint reads it.
+func hintFrom(hint map[symbolic.Var]int64) func(symbolic.Var) (int64, bool) {
+	return func(v symbolic.Var) (int64, bool) {
+		x, ok := hint[v]
+		return x, ok
+	}
+}
+
+// oracleKey is the map-based CacheKey rendering the Path renderer
+// replaced, kept as the differential oracle: every predicate's
+// coefficient map walked and sorted on every call.
+func oracleKey(slice []symbolic.Pred, hint map[symbolic.Var]int64) string {
+	var b strings.Builder
+	var vs []symbolic.Var // every slice variable, with repeats
+	for _, p := range slice {
+		vs = appendPredKey(&b, p, vs)
+		b.WriteByte('&')
+	}
+	b.WriteByte('#')
+	sortVars(vs)
+	for i, v := range vs {
+		if i > 0 && vs[i-1] == v {
+			continue
+		}
+		b.WriteString(strconv.Itoa(int(v)))
+		b.WriteByte('=')
+		if h, ok := hint[v]; ok {
+			b.WriteString(strconv.FormatInt(h, 10))
+		} else {
+			b.WriteByte('?')
+		}
+		b.WriteByte(';')
+	}
+	return b.String()
+}
+
+func sortVars(vs []symbolic.Var) {
+	for i := 1; i < len(vs); i++ {
+		for j := i; j > 0 && vs[j] < vs[j-1]; j-- {
+			vs[j], vs[j-1] = vs[j-1], vs[j]
+		}
+	}
+}
+
+// appendPredKey appends p's oracle rendering to b — relation code,
+// constant, then var:coeff pairs in ascending variable order (zero
+// coefficients skipped) — and appends p's variables to vs, which it
+// returns.
+func appendPredKey(b *strings.Builder, p symbolic.Pred, vs []symbolic.Var) []symbolic.Var {
+	b.WriteByte('r')
+	b.WriteString(strconv.Itoa(int(p.Rel)))
+	if p.L == nil {
+		b.WriteString("|<fallback>")
+		return vs
+	}
+	b.WriteByte('|')
+	b.WriteString(strconv.FormatInt(p.L.Const, 10))
+	start := len(vs)
+	for v, c := range p.L.Coeffs {
+		if c != 0 {
+			vs = append(vs, v)
+		}
+	}
+	own := vs[start:]
+	sortVars(own)
+	for _, v := range own {
+		b.WriteByte('|')
+		b.WriteString(strconv.Itoa(int(v)))
+		b.WriteByte(':')
+		b.WriteString(strconv.FormatInt(p.L.Coeffs[v], 10))
+	}
+	return vs
+}
+
+// predKey renders one predicate in its oracle key form.
+func predKey(p symbolic.Pred) string {
+	var b strings.Builder
+	appendPredKey(&b, p, nil)
+	return b.String()
 }
 
 // oracleSlice is the map-based independence slicer Path.Slice replaced,
@@ -418,7 +503,8 @@ func TestPathMatchesOracle(t *testing.T) {
 			}
 			for k := 0; k < 3; k++ {
 				sol, hint := randAssign(r, nvars, oneVar), randAssign(r, nvars, oneVar)
-				if got, want := p.Verify(n, mixedMeta, sol, hint, &s), oracleVerify(pc, mixedMeta, sol, hint); got != want {
+				p.SetHint(hintFrom(hint))
+				if got, want := p.Verify(n, mixedMeta, sol, &s), oracleVerify(pc, mixedMeta, sol, hint); got != want {
 					t.Fatalf("iter %d n=%d: Verify = %v, oracle %v; preds %v sol %v hint %v",
 						iter, n, got, want, preds, sol, hint)
 				}
@@ -428,6 +514,64 @@ func TestPathMatchesOracle(t *testing.T) {
 	for n := 0; n <= 2; n++ {
 		if ns[n] == 0 {
 			t.Errorf("no flip at n=%d was checked", n)
+		}
+	}
+}
+
+// TestPathKeyMatchesOracle: for every flip of the random predicate
+// lists, the key Path renders from its index (and CacheKey, which
+// indexes its slice) equals the map-based oracle rendering.  The lists
+// carry nil forms, constant targets and explicit zero coefficients, and
+// the hints leave variables absent.
+func TestPathKeyMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	var s PathScratch // one scratch across every path, as an engine keeps it
+	seen := map[string]int{}
+	for iter := 0; iter < 4000; iter++ {
+		nvars := 1 + r.Intn(6)
+		preds := randPreds(r, nvars, iter%4 == 0)
+		hint := randAssign(r, nvars, false)
+		p := new(Path)
+		for _, q := range preds {
+			p.Add(q)
+		}
+		p.SetHint(hintFrom(hint))
+		for n := range preds {
+			slice, _ := p.Slice(n, &s)
+			want := oracleKey(slice, hint)
+			if got := p.Key(&s); got != want {
+				t.Fatalf("iter %d n=%d: Key = %q, oracle %q; preds %v hint %v", iter, n, got, want, preds, hint)
+			}
+			if got := CacheKey(slice, hint); got != want {
+				t.Fatalf("iter %d n=%d: CacheKey = %q, oracle %q", iter, n, got, want)
+			}
+			for _, q := range slice {
+				if q.L == nil {
+					seen["nil form"]++
+					continue
+				}
+				for v, c := range q.L.Coeffs {
+					if c == 0 {
+						seen["zero coefficient"]++
+					} else if _, ok := hint[v]; !ok {
+						seen["absent hint"]++
+					}
+				}
+			}
+			if l := preds[n].L; l != nil {
+				constant := true
+				for _, c := range l.Coeffs {
+					constant = constant && c == 0
+				}
+				if constant {
+					seen["constant target"]++
+				}
+			}
+		}
+	}
+	for _, c := range []string{"nil form", "zero coefficient", "absent hint", "constant target"} {
+		if seen[c] == 0 {
+			t.Errorf("no keyed slice had a %s", c)
 		}
 	}
 }
@@ -459,19 +603,31 @@ func TestPathNilFormPlacement(t *testing.T) {
 		if _, pruned := p.Slice(c.n, &s); pruned != c.pruned {
 			t.Errorf("%s: pruned %d, want %d", c.name, pruned, c.pruned)
 		}
-		if got := p.Verify(c.n, intMeta, sol, nil, &s); got != c.verifies {
+		if got := p.Verify(c.n, intMeta, sol, &s); got != c.verifies {
 			t.Errorf("%s: Verify = %v, want %v", c.name, got, c.verifies)
 		}
 	}
 }
 
+// TestPathVars: the path's variables are those with a nonzero
+// coefficient; SetHint asks for exactly them, and a slice's hint holds
+// the hinted ones among them.
 func TestPathVars(t *testing.T) {
 	p := new(Path)
 	p.Add(pred(symbolic.GT, 0, 3, 1, 0, 0)) // v0 has a zero coefficient
 	p.Add(pred(symbolic.GT, 0, 1, 1, 3, 2))
-	got := p.Vars()
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Errorf("Vars = %v, want [1 3]", got)
+	asked := map[symbolic.Var]bool{}
+	p.SetHint(func(v symbolic.Var) (int64, bool) {
+		asked[v] = true
+		return 7, v == 3
+	})
+	if len(asked) != 2 || !asked[1] || !asked[3] {
+		t.Errorf("SetHint asked for %v, want vars 1 and 3", asked)
+	}
+	var s PathScratch
+	p.Slice(1, &s)
+	if h := p.Hint(&s); len(h) != 1 || h[3] != 7 {
+		t.Errorf("Hint = %v, want map[3:7]", h)
 	}
 }
 
@@ -488,16 +644,18 @@ func TestPathConcurrentSiblings(t *testing.T) {
 		p.Add(q)
 	}
 	sol, hint := randAssign(r, 8, false), randAssign(r, 8, false)
+	p.SetHint(hintFrom(hint))
 	type answer struct {
 		slice  []symbolic.Pred
 		pruned int
 		ok     bool
+		key    string
 	}
 	want := make([]answer, len(preds))
 	for n := range preds {
 		pc := flipOf(preds, n)
 		sl, pr := oracleSlice(pc)
-		want[n] = answer{sl, pr, oracleVerify(pc, mixedMeta, sol, hint)}
+		want[n] = answer{sl, pr, oracleVerify(pc, mixedMeta, sol, hint), oracleKey(sl, hint)}
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -516,7 +674,11 @@ func TestPathConcurrentSiblings(t *testing.T) {
 						t.Errorf("worker %d n=%d: slice differs from the oracle", w, n)
 						return
 					}
-					if p.Verify(n, mixedMeta, sol, hint, &s) != want[n].ok {
+					if p.Key(&s) != want[n].key {
+						t.Errorf("worker %d n=%d: key differs from the oracle", w, n)
+						return
+					}
+					if p.Verify(n, mixedMeta, sol, &s) != want[n].ok {
 						t.Errorf("worker %d n=%d: verify differs from the oracle", w, n)
 						return
 					}
