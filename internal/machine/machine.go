@@ -201,8 +201,12 @@ type Machine struct {
 	// shapeSearch and decided implement the pointer-shape decision
 	// records: each pointer input (decided is indexed by Var) contributes
 	// at most one Decision record per run, at its first concrete read.
+	// undecided counts this run's pointer inputs that RandomInit gave a
+	// symbolic shadow and whose decision has not fired: while it is zero
+	// no load can still owe a decision, so noteDecision skips the form.
 	shapeSearch bool
 	decided     []bool
+	undecided   int
 
 	callDepth int
 
@@ -329,6 +333,7 @@ func (m *Machine) Reset(inputs InputSource) error {
 		c.n = 0
 	}
 	clear(m.decided)
+	m.undecided = 0
 	m.mem.Reset()
 	return m.initGlobals()
 }
@@ -404,6 +409,11 @@ func (m *Machine) RandomInit(addr int64, in *Input) error {
 	case *types.Basic:
 		return m.mem.Store(addr, types.Truncate(t, m.inputs.ScalarInput(in)), m.shadow(in))
 	case *types.Pointer:
+		if m.symbolic {
+			// Memory is reset between runs, so this is the only way a
+			// pointer input's form reaches a load in this run.
+			m.undecided++
+		}
 		if !m.inputs.PointerInput(in) {
 			return m.mem.Store(addr, 0, m.shadow(in))
 		}
@@ -641,9 +651,10 @@ func (m *Machine) memErr(err error, pos token.Pos) *RunError {
 // noteDecision emits the synthetic Decision record for a pointer input
 // whose value v was just read from a cell with live shadow l (nil for a
 // concrete cell, which can never be a pointer input's home), once per
-// run.
+// run.  Once every pointer input of the run is decided, it returns
+// before walking l.
 func (m *Machine) noteDecision(v int64, l *symbolic.Lin) error {
-	if !m.shapeSearch || l == nil || len(l.Coeffs) != 1 || l.Const != 0 {
+	if !m.shapeSearch || m.undecided == 0 || l == nil || len(l.Coeffs) != 1 || l.Const != 0 {
 		return nil
 	}
 	var sv symbolic.Var
@@ -658,6 +669,7 @@ func (m *Machine) noteDecision(v int64, l *symbolic.Lin) error {
 		return nil
 	}
 	m.decided[sv] = true
+	m.undecided--
 	taken := v != 0
 	rel := symbolic.NE
 	if !taken {

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -629,6 +631,59 @@ int f(struct s *p) { return p->v; }
 	}
 	if decisions != 1 {
 		t.Errorf("decision records = %d, want 1 (deduplicated)", decisions)
+	}
+
+	// A pointer parameter read first, then a scalar input, then a
+	// pointer an extern call returns mid-run.  Once p is decided no
+	// pointer input awaits a decision until the call's RandomInit re-arms
+	// the count; the pointer field behind the extern pointer is never
+	// read and gets no record.
+	prog = compile(t, `
+struct n { int v; struct n *next; };
+extern struct n *ext();
+int g(int *p, int x) {
+    int r = 0;
+    if (p != 0) r = 1;
+    if (x > 5) r = r + 2;
+    if (p != 0) r = r + 4;
+    struct n *q = ext();
+    if (q != 0) r = r + q->v;
+    return r;
+}
+`)
+	for _, code := range []*Compiled{nil, Compile(prog)} {
+		src := newFixedSource()
+		src.pointers["p"] = true
+		src.pointers["ext:ext#0"] = true
+		m, _ := New(Config{Prog: prog, Inputs: src, ShapeSearch: true, Code: code})
+		args := make([]Value, 2)
+		for i, key := range []string{"p", "x"} {
+			cell, _ := m.Mem().Alloc(1)
+			if err := m.RandomInit(cell, m.trie.Root(key, prog.Funcs["g"].Params[i].Type)); err != nil {
+				t.Fatal(err)
+			}
+			args[i].V, args[i].Sym, _ = m.Mem().Load(cell)
+		}
+		if _, rerr := m.RunCall("g", args); rerr != nil {
+			t.Fatal(rerr)
+		}
+		if in, ok := m.trie.Lookup("ext:ext#0.*.next"); !ok || in.Var < 0 {
+			t.Fatal("the unread pointer field is not an input of the run")
+		}
+		var got []string
+		for _, b := range m.Branches {
+			if !b.Decision {
+				got = append(got, "branch")
+				continue
+			}
+			for v := range b.Pred.L.Coeffs {
+				got = append(got, fmt.Sprintf("decide %s taken=%v", m.trie.Leaves()[v].Key, b.Taken))
+			}
+		}
+		want := []string{"decide p taken=true", "branch", "branch", "branch", "decide ext:ext#0 taken=true", "branch"}
+		if !slices.Equal(got, want) {
+			t.Errorf("compiled=%v: branch records %q, want %q", code != nil, got, want)
+		}
 	}
 }
 
