@@ -17,6 +17,7 @@ test -z "$unformatted"
 # `go test -run 'TestTraceGolden|TestEngineSignatureGolden|TestMinisipCorpusGolden' -update .`).
 go test -run 'TestTraceGolden|TestEngineSignatureGolden|TestMinisipCorpusGolden' .
 go test -run '^$' -fuzz '^FuzzCompile$' -fuzztime 15s .
+go test -run '^$' -fuzz '^FuzzSolveLog$' -fuzztime 15s ./internal/corpus/
 go test -race ./...
 # The benchmark is a Go module of its own, so the root `go test ./...`
 # does not reach its tests (the pk1 key round trip against
@@ -29,7 +30,8 @@ go test -count=1 -run 'TestServerLiveAudit' ./internal/ops/
 # Solver fast-path gate: slicing + caching must never change what a
 # search finds — cache on/off/tiny report equality under both engines,
 # jobs-independence with the cache on, and replayable random-mode bugs.
-go test -count=1 -run 'TestSolveCache|TestSlicingOnClusters|TestRandomBugsReplay' ./internal/concolic/
+go test -count=1 -run 'TestSolveCache|TestSlicingOnClusters|TestRandomBugsReplay|TestLyingDiskSatVerified' ./internal/concolic/
+go test -count=1 -run 'TestPathKeyMatchesOracle' ./internal/solver/
 go test -count=1 -run 'TestAuditCacheDeterministicAcrossJobs' ./internal/audit/
 # Parallel search gate: worker-count determinism, pool invariants, the
 # shared input registry and the shared solve cache under the race
