@@ -3,7 +3,8 @@
 // handlers (consumers: HTTP subscribers).  The engine must never block
 // on observation — a slow or stalled curl cannot be allowed to stall
 // the search — so producers always win: a publish claims the next slot
-// with one atomic add and overwrites whatever is there.  Subscribers
+// with one atomic add and installs its event with one compare-and-swap
+// over whatever older event is there.  Subscribers
 // keep their own cursors; one that falls more than a ring behind skips
 // forward and counts the overwritten events as drops instead of ever
 // back-pressuring the producer.
@@ -15,17 +16,12 @@ import (
 	"dart/internal/obs"
 )
 
-// ringSlot holds one published event.  The event is stored behind an
-// atomic pointer (immutable once stored) and published by setting seq
-// to ticket+1, so readers never touch a half-written Event.
-type ringSlot struct {
-	seq atomic.Uint64
-	ev  atomic.Pointer[obs.Event]
-}
-
-// ring is the broadcast buffer.  size must be a power of two.
+// ring is the broadcast buffer.  size must be a power of two.  Each
+// slot points at the last event installed there; an event is immutable
+// once installed and carries its ticket as Seq, so a reader compares
+// that stamp with its cursor and never touches a half-written Event.
 type ring struct {
-	slots []ringSlot
+	slots []atomic.Pointer[obs.Event]
 	mask  uint64
 	head  atomic.Uint64 // next ticket to publish
 	// dropped aggregates every subscriber's overwrite losses — the
@@ -45,20 +41,35 @@ func newRing(size int) *ring {
 	for n < size {
 		n <<= 1
 	}
-	return &ring{slots: make([]ringSlot, n), mask: uint64(n - 1)}
+	return &ring{slots: make([]atomic.Pointer[obs.Event], n), mask: uint64(n - 1)}
 }
 
 // publish stores ev and never blocks; the oldest retained event is
 // overwritten once the ring is full.
-func (r *ring) publish(ev obs.Event) {
-	t := r.head.Add(1) - 1
-	s := &r.slots[t&r.mask]
+func (r *ring) publish(ev obs.Event) { r.install(r.claim(), ev) }
+
+// claim takes the next ticket.
+func (r *ring) claim() uint64 { return r.head.Add(1) - 1 }
+
+// install stores ev as ticket t's event.  A slot only moves forward:
+// a producer a lap behind that finishes after the producer a lap ahead
+// finds a newer ticket in the slot and gives up, since its event is one
+// the ring has already overwritten.
+func (r *ring) install(t uint64, ev obs.Event) {
 	e := ev // one heap copy; readers share the immutable value
 	// Stamp the ticket as the event's sequence number: /events readers
 	// see a gap in seq exactly where the ring overwrote events.
 	e.Seq = t
-	s.ev.Store(&e)
-	s.seq.Store(t + 1)
+	slot := &r.slots[t&r.mask]
+	for {
+		old := slot.Load()
+		if old != nil && old.Seq > t {
+			return
+		}
+		if slot.CompareAndSwap(old, &e) {
+			return
+		}
+	}
 }
 
 // published returns the total number of events ever published.
@@ -103,32 +114,19 @@ func (s *subscriber) next() (ev obs.Event, ok bool) {
 			s.r.dropped.Add(skip)
 			s.cursor += skip
 		}
-		slot := &s.r.slots[s.cursor&s.r.mask]
-		seq := slot.seq.Load()
+		p := s.r.slots[s.cursor&s.r.mask].Load()
 		switch {
-		case seq == s.cursor+1:
-			// A producer a lap ahead stores its event before its seq, so
-			// the slot's seq can still name this ticket while ev already
-			// holds a later one: trust the event's own stamp.
-			p := slot.ev.Load()
-			if p.Seq != s.cursor {
-				// Overwritten between the check and the load; the event
-				// for this ticket is unrecoverable.
-				s.dropped++
-				s.r.dropped.Add(1)
-				s.cursor++
-				continue
-			}
+		case p == nil || p.Seq < s.cursor:
+			// The publish for this ticket is still in flight.
+			return obs.Event{}, false
+		case p.Seq == s.cursor:
 			s.cursor++
 			return *p, true
-		case seq > s.cursor+1:
-			// The slot was already lapped; this ticket's event is gone.
+		default:
+			// A later lap overwrote this ticket's event.
 			s.dropped++
 			s.r.dropped.Add(1)
 			s.cursor++
-		default:
-			// The publish for this ticket is still in flight.
-			return obs.Event{}, false
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -71,6 +72,35 @@ func TestRingRoundsToPowerOfTwo(t *testing.T) {
 	}
 	if n := len(newRing(0).slots); n != defaultRingSize {
 		t.Errorf("size 0 defaults to %d, want %d", n, defaultRingSize)
+	}
+}
+
+// TestRingLateInstall: a producer a lap behind finishes after the
+// producers a lap ahead.  Ticket 0's install is held back while tickets
+// 1-6 fill a ring of 4 and lap slot 0; the late install must not roll
+// that slot back, or the subscriber reads it as a publish in flight and
+// stops with events neither received nor counted as dropped.
+func TestRingLateInstall(t *testing.T) {
+	r := newRing(4)
+	sub := r.subscribe()
+	late := r.claim()
+	for i := 1; i <= 6; i++ {
+		r.publish(obs.Event{Kind: obs.RunStart, Run: i})
+	}
+	r.install(late, obs.Event{Kind: obs.RunStart, Run: 0})
+	var runs []int
+	for {
+		ev, ok := sub.next()
+		if !ok {
+			break
+		}
+		runs = append(runs, ev.Run)
+	}
+	if got := uint64(len(runs)) + sub.Dropped(); got != r.published() {
+		t.Fatalf("received %v + dropped %d != published %d", runs, sub.Dropped(), r.published())
+	}
+	if want := []int{3, 4, 5, 6}; !slices.Equal(runs, want) {
+		t.Fatalf("received runs %v, want %v (the retained lap)", runs, want)
 	}
 }
 
