@@ -8,6 +8,9 @@ package audit
 // corruption must degrade to a full re-search, never a wrong verdict.
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -216,53 +219,84 @@ func TestAuditStaleHashResearchesOnlyChanged(t *testing.T) {
 	}
 }
 
-// TestAuditCorruptEntryDegrades flips a byte in one stored entry: the
-// function must silently fall back to the full search and produce the
-// same verdict the cold run did.
+// TestAuditCorruptEntryDegrades damages one stored entry — a flipped
+// byte, or its payload re-indented under a fresh, valid checksum, which
+// the strict entry decoder rejects — and the function must miss as
+// invalid, fall back to the full search, produce the same verdict the
+// cold run did, and have its entry rewritten.
 func TestAuditCorruptEntryDegrades(t *testing.T) {
-	dir := t.TempDir()
-	c, err := corpus.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := compile(t, progs.Section21)
-	opts := Options{
-		Toplevels: []string{"f", "h"},
-		Seed:      1,
-		MaxRuns:   200,
-		Corpus:    c,
-	}
-	cold := Run(prog, opts)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(raw []byte) []byte
+	}{
+		{"byte-flip", func(raw []byte) []byte {
+			raw[len(raw)/2] ^= 0x01
+			return raw
+		}},
+		{"reindented", func(raw []byte) []byte {
+			nl := bytes.IndexByte(raw, '\n')
+			var payload bytes.Buffer
+			if err := json.Indent(&payload, raw[nl+1:], "", "  "); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(payload.Bytes())
+			return append(fmt.Appendf(nil, "dartcorpus1 %x\n", sum), payload.Bytes()...)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c, err := corpus.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog := compile(t, progs.Section21)
+			opts := Options{
+				Toplevels: []string{"f", "h"},
+				Seed:      1,
+				MaxRuns:   200,
+				Corpus:    c,
+			}
+			cold := Run(prog, opts)
 
-	path := filepath.Join(dir, "fn", "h.json")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0x01
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			path := filepath.Join(dir, "fn", "h.json")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stored := bytes.Clone(raw)
+			if err := os.WriteFile(path, tc.corrupt(raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	c2, err := corpus.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Corpus = c2
-	warm := Run(prog, opts)
-	if got, want := auditSig(warm), auditSig(cold); got != want {
-		t.Errorf("corrupt entry changed verdicts:\ncold:\n%swarm:\n%s", want, got)
-	}
-	if warm.CorpusHits != 1 {
-		t.Errorf("warm hits = %d, want 1 (f only; h's entry is corrupt)", warm.CorpusHits)
-	}
-	// The full re-search re-stores h's entry, healing the corpus.
-	if warm.CorpusStores != 1 {
-		t.Errorf("warm stores = %d, want 1 (the healed entry)", warm.CorpusStores)
-	}
-	healed := Run(prog, Options{Toplevels: []string{"f", "h"}, Seed: 1, MaxRuns: 200, Corpus: c2})
-	if healed.CorpusHits != 2 {
-		t.Errorf("healed hits = %d, want 2", healed.CorpusHits)
+			c2, err := corpus.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Corpus = c2
+			var misses missLog
+			opts.Observer = misses.sink()
+			warm := Run(prog, opts)
+			if got, want := auditSig(warm), auditSig(cold); got != want {
+				t.Errorf("corrupt entry changed verdicts:\ncold:\n%swarm:\n%s", want, got)
+			}
+			if warm.CorpusHits != 1 {
+				t.Errorf("warm hits = %d, want 1 (f only; h's entry is corrupt)", warm.CorpusHits)
+			}
+			if got := misses.sorted(); !reflect.DeepEqual(got, []string{"h:invalid"}) {
+				t.Errorf("misses = %v, want [h:invalid]", got)
+			}
+			// The full re-search re-stores h's entry, healing the corpus.
+			if warm.CorpusStores != 1 {
+				t.Errorf("warm stores = %d, want 1 (the healed entry)", warm.CorpusStores)
+			}
+			if healed, err := os.ReadFile(path); err != nil || !bytes.Equal(healed, stored) {
+				t.Errorf("healed entry differs from the cold one (err %v)", err)
+			}
+			healed := Run(prog, Options{Toplevels: []string{"f", "h"}, Seed: 1, MaxRuns: 200, Corpus: c2})
+			if healed.CorpusHits != 2 {
+				t.Errorf("healed hits = %d, want 2", healed.CorpusHits)
+			}
+		})
 	}
 }
 

@@ -154,18 +154,19 @@ func (c *Corpus) entryPath(fn string) string {
 
 // LoadEntry returns the stored entry for fn, or nil with a machine-
 // readable miss reason: "absent" (no file) or "invalid" (failed the
-// version or checksum gate — the file is discarded).
+// version or checksum gate, or the payload is not json.Marshal's
+// encoding of an entry for fn — the file is discarded).
 func (c *Corpus) LoadEntry(fn string) (*Entry, string) {
 	payload, reason := c.readChecksummed(c.entryPath(fn))
 	if payload == nil {
 		return nil, reason
 	}
-	var e Entry
-	if err := json.Unmarshal(payload, &e); err != nil || e.Function != fn {
+	e, ok := decodeEntry(payload)
+	if !ok || e.Function != fn {
 		c.note("corpus: entry %s: malformed payload, discarding", fn)
 		return nil, "invalid"
 	}
-	return &e, ""
+	return e, ""
 }
 
 // StoreEntry writes (or atomically replaces) fn's entry.

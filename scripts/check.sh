@@ -18,6 +18,7 @@ test -z "$unformatted"
 go test -run 'TestTraceGolden|TestEngineSignatureGolden|TestMinisipCorpusGolden' .
 go test -run '^$' -fuzz '^FuzzCompile$' -fuzztime 15s .
 go test -run '^$' -fuzz '^FuzzSolveLog$' -fuzztime 15s ./internal/corpus/
+go test -run '^$' -fuzz '^FuzzCorpusEntry$' -fuzztime 15s ./internal/corpus/
 go test -race ./...
 # The benchmark is a Go module of its own, so the root `go test ./...`
 # does not reach its tests (the pk1 key round trip against
@@ -60,7 +61,7 @@ go test -count=1 -race -run 'TestPoisonedJobIsolation|TestCachedByteIdentical|Te
 # block, stream, and shed load honestly.
 go test -count=1 -race -run 'TestProfileDeterministicAcrossWorkers|TestProfileOffByDefault|TestProfilePhases|TestProfileCacheAttribution' ./internal/concolic/
 go test -count=1 -run 'TestProfile|TestLiveProfile|TestLiveMetrics|TestTreeFlame' ./internal/obs/
-go test -count=1 -race -run 'TestRingSeqGapsMatchDrops|TestEventsFollowTrailingDrops|TestServerProfileEndpoint' ./internal/ops/
+go test -count=1 -race -run 'TestRingSeqGapsMatchDrops|TestEventsFollowTrailingDrops|TestServerProfileEndpoint|TestRingLateInstall' ./internal/ops/
 go test -count=1 -race -run 'TestJobWait|TestJobSSEStream|TestCachedJobHasNoProfile|TestJobProfileFeedsServerProfile' ./internal/serve/
 # CLI end to end: -profile must print both cost tables and -json must
 # carry the structured profile object.
