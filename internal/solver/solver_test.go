@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -335,6 +336,40 @@ func TestGCD(t *testing.T) {
 	for _, c := range cases {
 		if got := gcd(c.a, c.b); got != c.want {
 			t.Errorf("gcd(%d,%d) = %d", c.a, c.b, got)
+		}
+	}
+}
+
+// TestSolveIndependentOfMapOrder: the solver is a pure function of its
+// input, so repeated calls on one system give one verdict, model and
+// work count.  Each system has a MinInt64 term whose treatment once
+// depended on Go's map iteration order: the first through the
+// overflow-checked partial sums of the final verification, the second
+// through the gcd of a row (abs64(MinInt64) is negative).
+func TestSolveIndependentOfMapOrder(t *testing.T) {
+	cases := []struct {
+		name string
+		pc   []symbolic.Pred
+		hint map[symbolic.Var]int64
+		work int64
+	}{
+		{"verify", []symbolic.Pred{
+			pred(symbolic.NE, math.MinInt64, 12, -1, 18, -4),
+		}, map[symbolic.Var]int64{12: 181, 18: -297}, 0},
+		{"gcd", []symbolic.Pred{
+			pred(symbolic.GE, -17, 0, -6, 12, 4, 24, -6, 25, math.MinInt64),
+			pred(symbolic.LT, -169, 24, 6),
+			pred(symbolic.GT, math.MinInt64, 6, 3),
+		}, map[symbolic.Var]int64{0: 207, 25: 297}, 101},
+	}
+	for _, c := range cases {
+		first, v0, st0 := SolveWorkStats(c.pc, intMeta, c.hint, c.work)
+		want := fmt.Sprint(v0, first, st0.Work)
+		for i := 0; i < 500; i++ {
+			sol, v, st := SolveWorkStats(c.pc, intMeta, c.hint, c.work)
+			if got := fmt.Sprint(v, sol, st.Work); got != want {
+				t.Fatalf("%s: call %d gave %s, the first gave %s", c.name, i, got, want)
+			}
 		}
 	}
 }

@@ -32,3 +32,17 @@ func TestEvalCheckedRejectsOverflow(t *testing.T) {
 		}
 	}
 }
+
+// TestEvalCheckedOrderIndependent: whether a partial sum overflows
+// depends on the order of the terms, so EvalChecked sums them in
+// ascending variable order.  MinInt64 - 181 + 1188 overflows at its
+// first step in that order, and would stay in range in the other.
+func TestEvalCheckedOrderIndependent(t *testing.T) {
+	l := &Lin{Const: math.MinInt64, Coeffs: map[Var]int64{12: -1, 18: -4}}
+	assign := map[Var]int64{12: 181, 18: -297}
+	for i := 0; i < 200; i++ {
+		if got, ok := l.EvalChecked(assign); ok {
+			t.Fatalf("call %d: %d/true, want an overflow at x12's term", i, got)
+		}
+	}
+}
