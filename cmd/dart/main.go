@@ -486,6 +486,12 @@ func runJobService(cfg serviceConfig) int {
 		Corpus:       corp,
 	})
 	svc.RegisterOn(srv)
+	// The handler goes in before the server can be reached or announced:
+	// a SIGTERM sent on reading the announcement must drain, not take
+	// Go's default action and kill the process.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	if err := srv.Listen(); err != nil {
 		svc.Drain(0)
 		fmt.Fprintln(os.Stderr, "dart:", err)
@@ -495,10 +501,7 @@ func runJobService(cfg serviceConfig) int {
 	// scripts can scrape the bound port when -serve :0 is used.
 	fmt.Fprintf(os.Stderr, "dart: serving ops on http://%s\n", srv.Addr())
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	got := <-sig
-	signal.Stop(sig)
 	fmt.Fprintf(os.Stderr, "dart: %s: draining job queue (deadline %s)\n", got, cfg.drainTimeout)
 	svc.Drain(cfg.drainTimeout)
 	srv.Done()
