@@ -19,6 +19,7 @@ go test -run 'TestTraceGolden|TestEngineSignatureGolden|TestMinisipCorpusGolden'
 go test -run '^$' -fuzz '^FuzzCompile$' -fuzztime 15s .
 go test -run '^$' -fuzz '^FuzzSolveLog$' -fuzztime 15s ./internal/corpus/
 go test -run '^$' -fuzz '^FuzzCorpusEntry$' -fuzztime 15s ./internal/corpus/
+go test -run '^$' -fuzz '^FuzzSolveOracle$' -fuzztime 15s ./internal/solver/
 go test -race ./...
 # The benchmark is a Go module of its own, so the root `go test ./...`
 # does not reach its tests (the pk1 key round trip against
@@ -32,7 +33,7 @@ go test -count=1 -run 'TestServerLiveAudit' ./internal/ops/
 # search finds — cache on/off/tiny report equality under both engines,
 # jobs-independence with the cache on, and replayable random-mode bugs.
 go test -count=1 -run 'TestSolveCache|TestSlicingOnClusters|TestRandomBugsReplay|TestLyingDiskSatVerified' ./internal/concolic/
-go test -count=1 -run 'TestPathKeyMatchesOracle' ./internal/solver/
+go test -count=1 -run 'TestPathKeyMatchesOracle|TestSolveMatchesOracle|TestSolveIndependentOfMapOrder' ./internal/solver/
 go test -count=1 -run 'TestAuditCacheDeterministicAcrossJobs' ./internal/audit/
 # Parallel search gate: worker-count determinism, pool invariants, the
 # shared input registry and the shared solve cache under the race
@@ -50,7 +51,7 @@ go test -count=1 -race -run 'TestAuditParallelWorkersFindSameBugs' ./internal/au
 # path: a hit skips the compile, every envelope carries the stored
 # report bytes verbatim as its last field, and a spilled report that
 # cannot be embedded reads as a miss.
-go test -count=1 -run 'TestCLIServeGate|TestCLIServeJobService|TestCLIServeBindError' .
+go test -count=1 -run 'TestCLIServeGate|TestCLIServeJobService|TestCLIServeBindError|TestCLIServeStartupSIGTERM' .
 go test -count=1 -race -run 'TestPoisonedJobIsolation|TestCachedByteIdentical|TestDrainCheckpointsBacklog|TestHTTPQueueFull429|TestConcurrentSubmissions|TestSubmitHitSkipsCompile|TestEnvelopeEmbedsReportVerbatim|TestRestartRejectsNonJSONSpill' ./internal/serve/
 # Profiler gate (search cost accounting): per-site solver attribution
 # must be byte-identical at -workers 1/2/8 under the race detector (the
