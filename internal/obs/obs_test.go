@@ -383,6 +383,45 @@ func TestLiveMetricsConcurrent(t *testing.T) {
 	}
 }
 
+// TestTreeInterleavedStreams: two engines' solves interleave on one
+// stream (an audit's functions, the job server's jobs, the frontier
+// engine's workers), and each verdict marks its own stream's target.
+func TestTreeInterleavedStreams(t *testing.T) {
+	streams := []struct {
+		name string
+		f, g Event
+	}{
+		{"functions", Event{Fn: "f"}, Event{Fn: "g"}},
+		{"jobs", Event{Job: "j1", Fn: "f"}, Event{Job: "j2", Fn: "f"}},
+		{"workers", Event{Fn: "f", Worker: 1}, Event{Fn: "f", Worker: 2}},
+	}
+	for _, st := range streams {
+		tr := NewTree(0)
+		ev := func(base Event, kind Kind, path, verdict string, work int64) {
+			base.Kind, base.Path, base.Verdict, base.Work = kind, path, verdict, work
+			tr.Event(base)
+		}
+		ev(st.f, SolverCall, "0", "", 0)
+		ev(st.g, SolverCall, "1", "", 0)
+		ev(st.f, SolverVerdict, "", "unsat", 5)
+		ev(st.g, SolverVerdict, "", "sat", 7)
+		for _, want := range []struct {
+			path, status string
+			work         int64
+		}{{"0", StatusInfeasible, 5}, {"1", StatusPending, 7}} {
+			n := tr.root.children[want.path[0]-'0']
+			if n == nil {
+				t.Errorf("%s: node %q never made", st.name, want.path)
+				continue
+			}
+			if n.status != want.status || n.work != want.work {
+				t.Errorf("%s: node %q is %q with work %d, want %q with work %d",
+					st.name, want.path, n.status, n.work, want.status, want.work)
+			}
+		}
+	}
+}
+
 func TestTreeTruncationCap(t *testing.T) {
 	tr := NewTree(4)
 	tr.Event(Event{Kind: RunEnd, Path: "0000000000", Outcome: "halt"})

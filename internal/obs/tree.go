@@ -60,11 +60,27 @@ type Tree struct {
 	nodes     int
 	maxNodes  int
 	truncated bool
-	// target remembers the path of the in-flight SolverCall so the
-	// following SolverVerdict can mark it.
-	target    string
-	hasTarget bool
+	// pending remembers each stream's in-flight SolverCall target so
+	// that stream's following SolverVerdict can mark it: an audit runs
+	// functions, the job server jobs, and the frontier engine workers
+	// side by side, and their solves interleave on one event stream.
+	pending []pendingSolve
 }
+
+// pendingSolve is one stream's in-flight SolverCall target.  A stream
+// is one engine's events, named by the fields the engine stamps: the
+// job, the function under test and the frontier worker.
+type pendingSolve struct {
+	job, fn string
+	worker  int
+	path    string
+}
+
+// maxPendingSolves bounds the in-flight target table.  Each engine has
+// at most one solve in flight, so a table this full holds targets
+// whose verdicts never came (an observer disabled mid-solve); it is
+// forgotten whole rather than grown.
+const maxPendingSolves = 64
 
 // DefaultMaxTreeNodes bounds tree memory; beyond it new paths are
 // dropped and the dump is marked truncated.
@@ -94,13 +110,23 @@ func (t *Tree) Event(ev Event) {
 		}
 		n.outcome = ev.Outcome
 	case SolverCall:
-		t.target, t.hasTarget = ev.Path, true
-	case SolverVerdict:
-		if !t.hasTarget {
+		if i := t.stream(&ev); i >= 0 {
+			t.pending[i].path = ev.Path
 			return
 		}
-		path := t.target
-		t.hasTarget = false
+		if len(t.pending) == maxPendingSolves {
+			t.pending = t.pending[:0]
+		}
+		t.pending = append(t.pending, pendingSolve{job: ev.Job, fn: ev.Fn, worker: ev.Worker, path: ev.Path})
+	case SolverVerdict:
+		i := t.stream(&ev)
+		if i < 0 {
+			return
+		}
+		path := t.pending[i].path
+		last := len(t.pending) - 1
+		t.pending[i] = t.pending[last]
+		t.pending = t.pending[:last]
 		status := StatusPending
 		switch ev.Verdict {
 		case "unsat":
@@ -113,6 +139,17 @@ func (t *Tree) Event(ev Event) {
 			n.work += ev.Work
 		}
 	}
+}
+
+// stream returns the index in pending of ev's stream, or -1.
+func (t *Tree) stream(ev *Event) int {
+	for i := range t.pending {
+		p := &t.pending[i]
+		if p.worker == ev.Worker && p.fn == ev.Fn && p.job == ev.Job {
+			return i
+		}
+	}
+	return -1
 }
 
 // walk follows (creating, when create is set) the path from the root,
