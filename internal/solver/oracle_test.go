@@ -174,8 +174,9 @@ func witnessCase(r *rand.Rand) oracleCase {
 // pairs u+1 upper with l+1 lower rows, and all but the pair of interval
 // rows keep x1 and x2, so it emits (u+1)(l+1)-1 rows after the extra
 // row's one: exactly maxConstraints and one more, then exactly
-// maxCombos products and one more.  The last system needs two search
-// steps per disequality, more than maxNESplits allows.
+// maxCombos products and one more.  The splits system needs two search
+// steps per disequality, more than maxNESplits allows.  The last has
+// variables over all of int64, wider than an int64 difference holds.
 func capCases() []oracleCase {
 	fmStep := func(u, l int, extra bool) oracleCase {
 		var pc []symbolic.Pred
@@ -199,6 +200,7 @@ func capCases() []oracleCase {
 		fmStep(16, 240, false), fmStep(16, 240, true),
 		fmStep(255, 511, false), fmStep(256, 511, false),
 		{pc: splits, meta: intMeta},
+		{pc: []symbolic.Pred{pred(symbolic.EQ, -1, 0, 2, 1, -3)}, meta: wideMeta},
 	}
 }
 
@@ -448,6 +450,8 @@ func FuzzSolveOracle(f *testing.F) {
 			map[symbolic.Var]int64{0: -1, 1: 1}, 0},
 		{v(0, 1), k(4, 4), []symbolic.Pred{pred(symbolic.LE, math.MinInt64, 0, math.MaxInt64, 1, 2),
 			pred(symbolic.GT, math.MaxInt64, 0, -1, 1, math.MinInt64)}, nil, 0},
+		// TestSolveWideDomain's system: an interval wider than MaxInt64.
+		{v(0, 1), k(4, 4), []symbolic.Pred{pred(symbolic.EQ, -1, 0, 2, 1, -3)}, nil, 0},
 	}
 	for _, s := range seeds {
 		f.Add(encodeCase(s.vars, s.kinds, s.pc, s.hint, s.work))
@@ -982,13 +986,18 @@ func (s *mapIntSolver) fourierMotzkin(ineqs []*symbolic.Lin) (map[symbolic.Var]i
 			}
 		}
 		pb := getBnd(pick)
-		// The interval contributes one upper and one lower row.
-		upBnd := symbolic.NewVar(pick)
-		upBnd.Const = -pb.hi
-		loBnd := symbolic.Scale(symbolic.NewVar(pick), -1)
-		loBnd.Const = pb.lo
-		uppers = append(uppers, upBnd)
-		lowers = append(lowers, loBnd)
+		// The interval contributes one upper and one lower row, except
+		// a bound at the end of int64.
+		if pb.hi < math.MaxInt64 {
+			upBnd := symbolic.NewVar(pick)
+			upBnd.Const = -pb.hi
+			uppers = append(uppers, upBnd)
+		}
+		if pb.lo > math.MinInt64 {
+			loBnd := symbolic.Scale(symbolic.NewVar(pick), -1)
+			loBnd.Const = pb.lo
+			lowers = append(lowers, loBnd)
+		}
 		stages = append(stages, mapStage{v: pick, rows: mine, bnd: pb})
 
 		if len(uppers)*len(lowers) > maxCombos {
@@ -1129,9 +1138,10 @@ func mapCandidates(lo, hi int64, hint map[symbolic.Var]int64, v symbolic.Var) []
 	} else if hi < 0 {
 		base = hi
 	}
-	for d := int64(0); len(out) < maxCandidates && d <= hi-lo; d++ {
-		add(base + d)
-		add(base - d)
+	width := uint64(hi) - uint64(lo)
+	for d := uint64(0); len(out) < maxCandidates && d <= width; d++ {
+		add(base + int64(d))
+		add(base - int64(d))
 	}
 	return out
 }

@@ -24,6 +24,7 @@
 package solver
 
 import (
+	"math"
 	"slices"
 	"sync"
 
@@ -816,11 +817,20 @@ func (s *system) fourierMotzkin() bool {
 			}
 		}
 		pb := s.bounds(pick)
-		// The interval contributes one upper and one lower row.
-		up, lo := s.newRow(), s.newRow()
-		s.rows[int(up)+pick], s.rows[int(up)+n] = 1, -pb.hi
-		s.rows[int(lo)+pick], s.rows[int(lo)+n] = -1, pb.lo
-		s.uppers, s.lowers = append(s.uppers, up), append(s.lowers, lo)
+		// The interval contributes one upper and one lower row, except
+		// a bound at the end of int64, which every value meets and whose
+		// products overflow: leaving it out weakens the shadow, never a
+		// verdict, since back-substitution keeps to the interval.
+		if pb.hi < math.MaxInt64 {
+			up := s.newRow()
+			s.rows[int(up)+pick], s.rows[int(up)+n] = 1, -pb.hi
+			s.uppers = append(s.uppers, up)
+		}
+		if pb.lo > math.MinInt64 {
+			lo := s.newRow()
+			s.rows[int(lo)+pick], s.rows[int(lo)+n] = -1, pb.lo
+			s.lowers = append(s.lowers, lo)
+		}
 		s.stages = append(s.stages, stage{v: int32(pick), from: from, to: int32(len(s.mine)), bnd: pb})
 
 		if len(s.uppers)*len(s.lowers) > maxCombos {
@@ -993,11 +1003,14 @@ func (s *system) candidates(lo, hi int64, j int) {
 		add(s.hint[j])
 	}
 	add(0)
-	// Scan outward from the point of the interval nearest 0.
+	// Scan outward from the point of the interval nearest 0.  The width
+	// is taken in uint64, exact for lo <= hi: as an int64 it wraps
+	// negative for an interval wider than MaxInt64.
 	base := min(max(lo, 0), hi)
-	for d := int64(0); len(s.cands)-from < maxCandidates && d <= hi-lo; d++ {
-		add(base + d)
-		add(base - d)
+	width := uint64(hi) - uint64(lo)
+	for d := uint64(0); len(s.cands)-from < maxCandidates && d <= width; d++ {
+		add(base + int64(d))
+		add(base - int64(d))
 	}
 }
 

@@ -98,6 +98,20 @@ func TestDiophantineRepair(t *testing.T) {
 	}
 }
 
+// wideMeta gives every variable the whole int64 range.
+func wideMeta(symbolic.Var) VarMeta {
+	return VarMeta{Kind: symbolic.ScalarVar, Lo: math.MinInt64, Hi: math.MaxInt64}
+}
+
+// TestSolveWideDomain: 2x - 3y - 1 == 0 over all of int64.  The
+// candidate scan of an interval wider than MaxInt64 must still run.
+func TestSolveWideDomain(t *testing.T) {
+	sol := mustSolve(t, []symbolic.Pred{pred(symbolic.EQ, -1, 0, 2, 1, -3)}, wideMeta, nil)
+	if 2*sol[0]-3*sol[1]-1 != 0 {
+		t.Errorf("2*%d - 3*%d - 1 != 0", sol[0], sol[1])
+	}
+}
+
 func TestGCDInfeasible(t *testing.T) {
 	// 2x + 4y == 5 has no integer solution.
 	pc := []symbolic.Pred{pred(symbolic.EQ, -5, 0, 2, 1, 4)}
