@@ -146,7 +146,7 @@ type Options struct {
 	// CollectMetrics populates Report.Metrics even without an Observer.
 	// An attached Observer implies it.  The registry is a fold over
 	// every event the engine emits (obs.Metrics.Fold), the same fold
-	// obs.LiveMetrics applies to the observed stream, so the two agree
+	// the ops server applies to the observed stream, so the two agree
 	// by construction.  Off by default: the registry's per-search setup
 	// and snapshot, while small, are measurable on sub-millisecond
 	// searches.

@@ -250,19 +250,23 @@ func TestParallelSharedCacheHarmless(t *testing.T) {
 }
 
 // TestParallelLiveMetricsMatchReport: per-worker events folded through
-// LiveMetrics reproduce the merged report's counters exactly — the
+// a fresh registry reproduce the merged report's counters exactly — the
 // live-equals-final invariant the obs layer promises.
 func TestParallelLiveMetricsMatchReport(t *testing.T) {
-	live := obs.NewLiveMetrics()
+	var events obs.Collector
 	rep, err := Run(compile(t, multiBug), Options{
 		Toplevel: "multi", MaxRuns: 2000, Seed: 11,
-		Workers: 4, Observer: live,
+		Workers: 4, Observer: &events,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Metrics == nil {
 		t.Fatal("no report metrics with an observer attached")
+	}
+	live := obs.NewMetrics()
+	for _, ev := range events.Events() {
+		live.Fold(&ev)
 	}
 	snap := live.Snapshot()
 	for name, want := range rep.Metrics.Counters {

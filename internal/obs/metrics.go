@@ -86,23 +86,121 @@ const (
 // CStalls above).
 const UncoveredPrefix = "uncovered_"
 
-// powers-of-two style upper bounds for each standard histogram; the
-// last implicit bucket is +Inf.
-var stdBuckets = map[string][]int64{
-	HSolverLatencyUS: {1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000},
-	HSolverWork:      {16, 256, 4_096, 65_536, 1 << 20, 1 << 24},
-	HStepsPerRun:     {64, 256, 1_024, 4_096, 16_384, 65_536, 262_144, 2_000_000},
-	HPCLen:           {1, 2, 4, 8, 16, 32, 64, 128, 256, 1_024},
-	HFrontierDepth:   {1, 2, 4, 8, 16, 32, 64, 128, 256, 1_024},
-	HFrontierQueue:   {1, 4, 16, 64, 256, 1_024, 4_096, 16_384, 65_536},
-	HJobQueueDepth:   {1, 2, 4, 8, 16, 32, 64, 128, 256, 1_024},
+// Slots of the standard counters.  Fold updates a slot directly; Add
+// finds a standard name's slot through counterSlot.
+const (
+	slotRuns = iota
+	slotRestarts
+	slotMispredicts
+	slotBranchFlips
+	slotSolverSat
+	slotSolverUnsat
+	slotSolverBudget
+	slotBugs
+	slotFallbackLinear
+	slotFallbackLocs
+	slotSolveCacheHits
+	slotSolveCacheMisses
+	slotSolveCacheEvicts
+	slotSlicedPreds
+	slotSolveCacheDisk
+	slotCorpusHits
+	slotCorpusMisses
+	slotCorpusReplays
+	slotCorpusStores
+	slotFrontierDropped
+	slotSteals
+	slotWorkerIdle
+	slotJobsAccepted
+	slotJobsRejected
+	slotJobsRetried
+	slotJobsCompleted
+	slotJobsCached
+	slotStalls
+	numCounters
+)
+
+// counterNames names each standard counter slot.
+var counterNames = [numCounters]string{
+	slotRuns:             CRuns,
+	slotRestarts:         CRestarts,
+	slotMispredicts:      CMispredicts,
+	slotBranchFlips:      CBranchFlips,
+	slotSolverSat:        CSolverSat,
+	slotSolverUnsat:      CSolverUnsat,
+	slotSolverBudget:     CSolverBudget,
+	slotBugs:             CBugs,
+	slotFallbackLinear:   CFallbackLinear,
+	slotFallbackLocs:     CFallbackLocs,
+	slotSolveCacheHits:   CSolveCacheHits,
+	slotSolveCacheMisses: CSolveCacheMisses,
+	slotSolveCacheEvicts: CSolveCacheEvicts,
+	slotSlicedPreds:      CSlicedPreds,
+	slotSolveCacheDisk:   CSolveCacheDisk,
+	slotCorpusHits:       CCorpusHits,
+	slotCorpusMisses:     CCorpusMisses,
+	slotCorpusReplays:    CCorpusReplays,
+	slotCorpusStores:     CCorpusStores,
+	slotFrontierDropped:  CFrontierDropped,
+	slotSteals:           CSteals,
+	slotWorkerIdle:       CWorkerIdle,
+	slotJobsAccepted:     CJobsAccepted,
+	slotJobsRejected:     CJobsRejected,
+	slotJobsRetried:      CJobsRetried,
+	slotJobsCompleted:    CJobsCompleted,
+	slotJobsCached:       CJobsCached,
+	slotStalls:           CStalls,
 }
+
+// Slots of the standard histograms, resolved like the counters'.
+const (
+	slotSolverLatency = iota
+	slotSolverWork
+	slotStepsPerRun
+	slotPCLen
+	slotFrontierDepth
+	slotFrontierQueue
+	slotJobQueueDepth
+	numHists
+)
+
+// stdHists names each standard histogram slot and gives its
+// powers-of-two style upper bounds; the last implicit bucket is +Inf.
+var stdHists = [numHists]struct {
+	name   string
+	bounds []int64
+}{
+	slotSolverLatency: {HSolverLatencyUS, []int64{1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000}},
+	slotSolverWork:    {HSolverWork, []int64{16, 256, 4_096, 65_536, 1 << 20, 1 << 24}},
+	slotStepsPerRun:   {HStepsPerRun, []int64{64, 256, 1_024, 4_096, 16_384, 65_536, 262_144, 2_000_000}},
+	slotPCLen:         {HPCLen, []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 1_024}},
+	slotFrontierDepth: {HFrontierDepth, []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 1_024}},
+	slotFrontierQueue: {HFrontierQueue, []int64{1, 4, 16, 64, 256, 1_024, 4_096, 16_384, 65_536}},
+	slotJobQueueDepth: {HJobQueueDepth, []int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 1_024}},
+}
+
+// counterSlot and histSlot find a standard metric's slot by name.
+var counterSlot, histSlot = func() (map[string]int, map[string]int) {
+	cs, hs := map[string]int{}, map[string]int{}
+	for i, name := range counterNames {
+		cs[name] = i
+	}
+	for i, h := range stdHists {
+		hs[h.name] = i
+	}
+	return cs, hs
+}()
 
 // Metrics is one search's registry.  It is not safe for concurrent use;
 // every search (and every audited function) owns a private instance.
+// The standard counters and histograms live in fixed slots, so folding
+// an event hashes no name; other names, such as the UncoveredPrefix
+// family, live in maps made on first use.
 type Metrics struct {
-	counters map[string]int64
-	hists    map[string]*hist
+	counts      [numCounters]int64
+	hists       [numHists]hist
+	otherCounts map[string]int64
+	otherHists  map[string]*hist
 }
 
 type hist struct {
@@ -112,15 +210,27 @@ type hist struct {
 	sum    int64
 }
 
+func newHist(bounds []int64) hist {
+	return hist{bounds: bounds, counts: make([]int64, len(bounds)+1)}
+}
+
+// observe records v in the first bucket whose bound it does not exceed.
+func (h *hist) observe(v int64) {
+	i := 0
+	for i < len(h.bounds) && v > h.bounds[i] {
+		i++
+	}
+	h.counts[i]++
+	h.count++
+	h.sum += v
+}
+
 // NewMetrics returns a registry with the standard histograms
 // pre-registered.
 func NewMetrics() *Metrics {
-	m := &Metrics{
-		counters: map[string]int64{},
-		hists:    map[string]*hist{},
-	}
-	for name, bounds := range stdBuckets {
-		m.hists[name] = &hist{bounds: bounds, counts: make([]int64, len(bounds)+1)}
+	m := &Metrics{}
+	for i, h := range stdHists {
+		m.hists[i] = newHist(h.bounds)
 	}
 	return m
 }
@@ -130,7 +240,14 @@ func (m *Metrics) Add(name string, n int64) {
 	if m == nil {
 		return
 	}
-	m.counters[name] += n
+	if i, ok := counterSlot[name]; ok {
+		m.counts[i] += n
+		return
+	}
+	if m.otherCounts == nil {
+		m.otherCounts = map[string]int64{}
+	}
+	m.otherCounts[name] += n
 }
 
 // Observe records v in histogram name (registering it with the standard
@@ -139,104 +256,110 @@ func (m *Metrics) Observe(name string, v int64) {
 	if m == nil {
 		return
 	}
-	h, ok := m.hists[name]
-	if !ok {
-		h = &hist{bounds: stdBuckets[HFrontierDepth], counts: make([]int64, len(stdBuckets[HFrontierDepth])+1)}
-		m.hists[name] = h
+	if i, ok := histSlot[name]; ok {
+		m.hists[i].observe(v)
+		return
 	}
-	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
-	h.counts[i]++
-	h.count++
-	h.sum += v
+	h := m.otherHists[name]
+	if h == nil {
+		if m.otherHists == nil {
+			m.otherHists = map[string]*hist{}
+		}
+		nh := newHist(stdHists[slotFrontierDepth].bounds)
+		h = &nh
+		m.otherHists[name] = h
+	}
+	h.observe(v)
 }
 
 // Fold folds one trace event into the registry.  Every counter and
 // every histogram but HSolverLatencyUS (wall clock) and HFrontierQueue
 // is a fold over the event stream: the engine passes each event it
-// builds through its own registry here, and LiveMetrics folds a whole
-// audit's stream with this same method.  No-op on a nil registry.
+// builds through its own registry here, and the ops server folds a
+// whole audit's stream with this same method.  No-op on a nil registry.
 func (m *Metrics) Fold(ev *Event) {
 	if m == nil {
 		return
 	}
+	c := &m.counts
 	switch ev.Kind {
 	case RunEnd:
-		m.Add(CRuns, 1)
-		m.Observe(HStepsPerRun, ev.Steps)
+		c[slotRuns]++
+		m.hists[slotStepsPerRun].observe(ev.Steps)
 	case Restart:
-		m.Add(CRestarts, 1)
+		c[slotRestarts]++
 	case Misprediction:
-		m.Add(CMispredicts, 1)
+		c[slotMispredicts]++
 	case BranchFlip:
-		m.Add(CBranchFlips, 1)
+		c[slotBranchFlips]++
 	case SolverCall:
-		m.Observe(HPCLen, int64(ev.PCLen))
-		m.Observe(HFrontierDepth, int64(ev.Depth))
+		m.hists[slotPCLen].observe(int64(ev.PCLen))
+		m.hists[slotFrontierDepth].observe(int64(ev.Depth))
 	case SolverVerdict:
 		switch ev.Verdict {
 		case "sat":
-			m.Add(CSolverSat, 1)
+			c[slotSolverSat]++
 		case "budget-exhausted":
-			m.Add(CSolverBudget, 1)
+			c[slotSolverBudget]++
 		default:
-			m.Add(CSolverUnsat, 1)
+			c[slotSolverUnsat]++
 		}
 		if ev.Cache != "hit" && ev.Cache != "disk" {
 			// The work histogram measures the solver, not the memo: a
 			// verdict either memo layer answered spent no solver work.
-			m.Observe(HSolverWork, ev.Work)
+			m.hists[slotSolverWork].observe(ev.Work)
 		}
 		if ev.Sliced > 0 {
-			m.Add(CSlicedPreds, int64(ev.Sliced))
+			c[slotSlicedPreds] += int64(ev.Sliced)
 		}
-		if ev.Cache == "miss" {
-			m.Add(CSolveCacheMisses, 1)
-		}
-		if ev.Cache == "disk" {
-			m.Add(CSolveCacheDisk, 1)
+		switch ev.Cache {
+		case "miss":
+			c[slotSolveCacheMisses]++
+		case "disk":
+			c[slotSolveCacheDisk]++
 		}
 		if ev.CacheEvict {
-			m.Add(CSolveCacheEvicts, 1)
+			c[slotSolveCacheEvicts]++
 		}
 	case SolveCacheHit:
-		m.Add(CSolveCacheHits, 1)
+		c[slotSolveCacheHits]++
 	case FrontierDrop:
-		m.Add(CFrontierDropped, int64(ev.Dropped))
+		c[slotFrontierDropped] += int64(ev.Dropped)
 	case FrontierSteal:
-		m.Add(CSteals, 1)
+		c[slotSteals]++
 	case FrontierIdle:
-		m.Add(CWorkerIdle, 1)
+		c[slotWorkerIdle]++
 	case BugFound:
-		m.Add(CBugs, 1)
+		c[slotBugs]++
 	case JobQueued:
-		m.Add(CJobsAccepted, 1)
-		m.Observe(HJobQueueDepth, int64(ev.Depth))
+		c[slotJobsAccepted]++
+		m.hists[slotJobQueueDepth].observe(int64(ev.Depth))
 	case JobRejected:
-		m.Add(CJobsRejected, 1)
+		c[slotJobsRejected]++
 	case JobRetry:
-		m.Add(CJobsRetried, 1)
+		c[slotJobsRetried]++
 	case JobEnd:
-		m.Add(CJobsCompleted, 1)
+		c[slotJobsCompleted]++
 		if ev.Status == "cached" {
-			m.Add(CJobsCached, 1)
+			c[slotJobsCached]++
 		}
 	case CorpusHit:
-		m.Add(CCorpusHits, 1)
-		m.Add(CCorpusReplays, int64(ev.Count))
+		c[slotCorpusHits]++
+		c[slotCorpusReplays] += int64(ev.Count)
 	case CorpusMiss:
-		m.Add(CCorpusMisses, 1)
+		c[slotCorpusMisses]++
 	case CorpusStore:
-		m.Add(CCorpusStores, 1)
+		c[slotCorpusStores]++
 	case CoverageStall:
-		m.Add(CStalls, 1)
+		c[slotStalls]++
 	case UncoveredReason:
 		m.Add(UncoveredPrefix+ev.Reason, int64(ev.Count))
 	case FallbackConcrete:
 		switch ev.Flag {
 		case "all_linear":
-			m.Add(CFallbackLinear, 1)
+			c[slotFallbackLinear]++
 		case "all_locs_definite":
-			m.Add(CFallbackLocs, 1)
+			c[slotFallbackLocs]++
 		}
 	}
 }
@@ -266,24 +389,36 @@ func (m *Metrics) Snapshot() *Snapshot {
 		return nil
 	}
 	s := &Snapshot{Counters: map[string]int64{}, Histograms: map[string]HistView{}}
-	for name, v := range m.counters {
+	for i, v := range m.counts {
+		if v != 0 {
+			s.Counters[counterNames[i]] = v
+		}
+	}
+	for name, v := range m.otherCounts {
 		if v != 0 {
 			s.Counters[name] = v
 		}
 	}
-	for name, h := range m.hists {
-		if h.count == 0 {
-			continue
-		}
-		hv := HistView{
-			Bounds: append([]int64(nil), h.bounds...),
-			Counts: append([]int64(nil), h.counts...),
-			Count:  h.count,
-			Sum:    h.sum,
-		}
-		s.Histograms[name] = hv
+	for i := range m.hists {
+		s.addHist(stdHists[i].name, &m.hists[i])
+	}
+	for name, h := range m.otherHists {
+		s.addHist(name, h)
 	}
 	return s
+}
+
+// addHist copies a histogram that saw a sample into the snapshot.
+func (s *Snapshot) addHist(name string, h *hist) {
+	if h.count == 0 {
+		return
+	}
+	s.Histograms[name] = HistView{
+		Bounds: append([]int64(nil), h.bounds...),
+		Counts: append([]int64(nil), h.counts...),
+		Count:  h.count,
+		Sum:    h.sum,
+	}
 }
 
 // Merge folds other into s (bucket-wise for histograms with identical

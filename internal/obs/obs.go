@@ -7,9 +7,10 @@
 // The engine books each run and each solve once and emits one typed
 // Event per fact to a Sink carried on the search options.  Every view is
 // a fold over those facts: the metrics registry folds each event the
-// engine emits (Metrics.Fold), and LiveMetrics and LiveProfile fold the
-// observed stream with the same functions, so the live views and the
-// final report agree by construction.  With no sink and no registry an
+// engine emits (Metrics.Fold), and the ops server folds the observed
+// stream into its own registry and a LiveProfile with the same
+// functions, so the live views and the final report agree by
+// construction.  With no sink and no registry an
 // emit is a stack value and two nil-checks, and none sits inside the
 // machine's per-instruction step loop, so observation never taxes raw
 // execution throughput.  Events carry only deterministic payloads (run
@@ -122,8 +123,9 @@ const (
 	// UncoveredReason: one resolved reason bucket of a finished search's
 	// coverage explanation (Reason = the bucket, Count = its dark
 	// direction count).  Emitted once per non-zero bucket at search end,
-	// mirroring the report's explain ledger, so LiveMetrics can expose
-	// dart_uncovered_total{reason=...} without replaying the ledger.
+	// mirroring the report's explain ledger, so the ops server's
+	// registry can expose dart_uncovered_total{reason=...} without
+	// replaying the ledger.
 	UncoveredReason Kind = "uncovered-reason"
 )
 

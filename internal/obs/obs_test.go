@@ -311,10 +311,10 @@ func TestTreeConcurrentEmit(t *testing.T) {
 	}
 }
 
-// LiveMetrics must fold an event stream into exactly the counters the
+// Metrics.Fold must fold an event stream into exactly the counters the
 // engine's own registry would have recorded at the same emit sites.
-func TestLiveMetricsFold(t *testing.T) {
-	l := NewLiveMetrics()
+func TestMetricsFold(t *testing.T) {
+	m := NewMetrics()
 	feed := []Event{
 		{Kind: RunStart, Run: 1},
 		{Kind: RunEnd, Run: 1, Steps: 10},
@@ -331,13 +331,10 @@ func TestLiveMetricsFold(t *testing.T) {
 		{Kind: FallbackConcrete, Flag: "all_linear"},
 		{Kind: FallbackConcrete, Flag: "all_locs_definite"},
 	}
-	for _, ev := range feed {
-		l.Event(ev)
+	for i := range feed {
+		m.Fold(&feed[i])
 	}
-	if l.Events() != uint64(len(feed)) {
-		t.Errorf("Events() = %d, want %d", l.Events(), len(feed))
-	}
-	s := l.Snapshot()
+	s := m.Snapshot()
 	wantCounters := map[string]int64{
 		CRuns: 1, CRestarts: 1, CMispredicts: 1, CBranchFlips: 1,
 		CSolverSat: 1, CSolverUnsat: 1, CSolverBudget: 1,
@@ -358,28 +355,9 @@ func TestLiveMetricsFold(t *testing.T) {
 		t.Errorf("solver work hist count=%d sum=%d, want 3/16", h.Count, h.Sum)
 	}
 	// Snapshot must be a frozen copy: later events don't leak into it.
-	l.Event(Event{Kind: RunEnd, Steps: 1})
+	m.Fold(&Event{Kind: RunEnd, Steps: 1})
 	if s.Counters[CRuns] != 1 {
 		t.Error("snapshot mutated by a later event")
-	}
-}
-
-func TestLiveMetricsConcurrent(t *testing.T) {
-	l := NewLiveMetrics()
-	const workers, runs = 8, 500
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < runs; i++ {
-				l.Event(Event{Kind: RunEnd, Steps: 1})
-			}
-		}()
-	}
-	wg.Wait()
-	if got := l.Snapshot().Counters[CRuns]; got != workers*runs {
-		t.Errorf("runs = %d, want %d", got, workers*runs)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -383,15 +382,15 @@ func (s *ProfileSnapshot) Table(n int) string {
 	return b.String()
 }
 
-// LiveProfile is a Sink that folds the event stream into per-site
-// solver attribution, the ops-server counterpart of attaching a
-// Profile to the engine: it books each row through the same book.
-// Events carry no wall-clock (the determinism contract), so a live
-// profile has exact work counters but no timing; Pos is likewise
-// absent, because events identify sites by index only.  Unattributed
-// events (Site 0: shape decisions and non-branch kinds) are skipped.
+// LiveProfile folds the event stream into per-site solver attribution,
+// the ops-server counterpart of attaching a Profile to the engine: it
+// books each row through the same book.  Events carry no wall-clock
+// (the determinism contract), so a live profile has exact work counters
+// but no timing; Pos is likewise absent, because events identify sites
+// by index only.  Unattributed events (Site 0: shape decisions and
+// non-branch kinds) are skipped.  It has no lock of its own: its owner
+// serializes Fold and Snapshot (the ops server folds under its mutex).
 type LiveProfile struct {
-	mu    sync.Mutex
 	sites map[liveSiteKey]*SiteProfile
 }
 
@@ -405,13 +404,11 @@ func NewLiveProfile() *LiveProfile {
 	return &LiveProfile{sites: make(map[liveSiteKey]*SiteProfile)}
 }
 
-// Event implements Sink.
-func (l *LiveProfile) Event(ev Event) {
+// Fold books one event.
+func (l *LiveProfile) Fold(ev *Event) {
 	if ev.Site == 0 {
 		return // not site-attributed (Site is 1-based on the wire)
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	k := liveSiteKey{ev.Fn, ev.Site - 1}
 	s := l.sites[k]
 	if s == nil {
@@ -423,8 +420,6 @@ func (l *LiveProfile) Event(ev Event) {
 
 // Snapshot freezes the live attribution into a sites-only snapshot.
 func (l *LiveProfile) Snapshot() *ProfileSnapshot {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	snap := &ProfileSnapshot{}
 	for _, s := range l.sites {
 		snap.Sites = append(snap.Sites, *s)

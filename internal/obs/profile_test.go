@@ -194,12 +194,12 @@ func TestProfileTopSitesAndTable(t *testing.T) {
 func TestLiveProfileFold(t *testing.T) {
 	l := NewLiveProfile()
 	// Site is 1-based on the wire; 0 means "not site-attributed".
-	l.Event(Event{Kind: SolverVerdict, Fn: "f", Site: 3, Verdict: "sat", Work: 7, Cache: "miss"})
-	l.Event(Event{Kind: SolverVerdict, Fn: "f", Site: 3, Verdict: "unsat", Work: 2, Cache: "hit"})
-	l.Event(Event{Kind: SolverVerdict, Fn: "f", Site: 1, Verdict: "budget-exhausted", Work: 100})
-	l.Event(Event{Kind: BranchFlip, Fn: "f", Site: 3})
-	l.Event(Event{Kind: SolverVerdict, Fn: "f", Verdict: "sat", Work: 9}) // unattributed: ignored
-	l.Event(Event{Kind: RunEnd, Fn: "f", Site: 3})                        // wrong kind: ignored
+	l.Fold(&Event{Kind: SolverVerdict, Fn: "f", Site: 3, Verdict: "sat", Work: 7, Cache: "miss"})
+	l.Fold(&Event{Kind: SolverVerdict, Fn: "f", Site: 3, Verdict: "unsat", Work: 2, Cache: "hit"})
+	l.Fold(&Event{Kind: SolverVerdict, Fn: "f", Site: 1, Verdict: "budget-exhausted", Work: 100})
+	l.Fold(&Event{Kind: BranchFlip, Fn: "f", Site: 3})
+	l.Fold(&Event{Kind: SolverVerdict, Fn: "f", Verdict: "sat", Work: 9}) // unattributed: ignored
+	l.Fold(&Event{Kind: RunEnd, Fn: "f", Site: 3})                        // wrong kind: ignored
 
 	snap := l.Snapshot()
 	if len(snap.Sites) != 2 {

@@ -29,12 +29,19 @@ const (
 	StatusDone = "done"
 )
 
-var statusRank = map[string]int{
-	"":               0,
-	StatusPending:    1,
-	StatusInfeasible: 2,
-	StatusAbandoned:  3,
-	StatusDone:       4,
+// statusRank orders the node statuses by precedence.
+func statusRank(status string) int {
+	switch status {
+	case StatusPending:
+		return 1
+	case StatusInfeasible:
+		return 2
+	case StatusAbandoned:
+		return 3
+	case StatusDone:
+		return 4
+	}
+	return 0
 }
 
 // treeNode is one branch-outcome prefix.
@@ -96,7 +103,16 @@ func NewTree(maxNodes int) *Tree {
 }
 
 // Event implements Sink.
-func (t *Tree) Event(ev Event) {
+func (t *Tree) Event(ev Event) { t.Fold(&ev) }
+
+// Fold places one event in the tree.  Only RunEnd, SolverCall and
+// SolverVerdict shape it; every other kind returns without locking.
+func (t *Tree) Fold(ev *Event) {
+	switch ev.Kind {
+	case RunEnd, SolverCall, SolverVerdict:
+	default:
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	switch ev.Kind {
@@ -110,7 +126,7 @@ func (t *Tree) Event(ev Event) {
 		}
 		n.outcome = ev.Outcome
 	case SolverCall:
-		if i := t.stream(&ev); i >= 0 {
+		if i := t.stream(ev); i >= 0 {
 			t.pending[i].path = ev.Path
 			return
 		}
@@ -119,7 +135,7 @@ func (t *Tree) Event(ev Event) {
 		}
 		t.pending = append(t.pending, pendingSolve{job: ev.Job, fn: ev.Fn, worker: ev.Worker, path: ev.Path})
 	case SolverVerdict:
-		i := t.stream(&ev)
+		i := t.stream(ev)
 		if i < 0 {
 			return
 		}
@@ -201,7 +217,7 @@ func (t *Tree) node(path string) *treeNode {
 }
 
 func (t *Tree) upgrade(n *treeNode, status string) {
-	if statusRank[status] > statusRank[n.status] {
+	if statusRank(status) > statusRank(n.status) {
 		n.status = status
 	}
 }

@@ -1,32 +1,35 @@
-// The event ring: a bounded, lock-free broadcast buffer between the
-// search engine (producers: audit workers) and the /events streaming
-// handlers (consumers: HTTP subscribers).  The engine must never block
-// on observation — a slow or stalled curl cannot be allowed to stall
-// the search — so producers always win: a publish claims the next slot
-// with one atomic add and installs its event with one compare-and-swap
-// over whatever older event is there.  Subscribers
-// keep their own cursors; one that falls more than a ring behind skips
-// forward and counts the overwritten events as drops instead of ever
-// back-pressuring the producer.
+// The event ring: a bounded broadcast buffer between the search engine
+// (producers: audit workers) and the /events streaming handlers
+// (consumers: HTTP subscribers).  The engine must never block on
+// observation — a slow or stalled curl cannot be allowed to stall the
+// search — so producers always win: a publish copies its event by
+// value into the next slot under the ring's mutex, over whatever older
+// event is there.  Subscribers keep their own cursors and copy an
+// event out under the same mutex, then encode it after releasing it:
+// no I/O ever happens under the lock.  One that falls more than a ring
+// behind skips forward and counts the overwritten events as drops
+// instead of ever back-pressuring the producer.
 package ops
 
 import (
-	"sync/atomic"
+	"sync"
 
 	"dart/internal/obs"
 )
 
-// ring is the broadcast buffer.  size must be a power of two.  Each
-// slot points at the last event installed there; an event is immutable
-// once installed and carries its ticket as Seq, so a reader compares
-// that stamp with its cursor and never touches a half-written Event.
+// ring is the broadcast buffer: a circular slice of events.  Slot
+// t&(size-1) holds ticket t's event, which carries t as its Seq.
 type ring struct {
-	slots []atomic.Pointer[obs.Event]
-	mask  uint64
-	head  atomic.Uint64 // next ticket to publish
+	mu sync.Mutex
+	// slots grows by append during the first lap and is then
+	// overwritten in place, so a ring that never fills never holds its
+	// whole capacity.
+	slots []obs.Event
+	size  uint64 // capacity, a power of two
+	head  uint64 // next ticket to publish
 	// dropped aggregates every subscriber's overwrite losses — the
 	// ring-wide drop counter behind dart_events_dropped_total.
-	dropped atomic.Uint64
+	dropped uint64
 }
 
 // defaultRingSize retains the last 4096 events for late subscribers.
@@ -41,43 +44,40 @@ func newRing(size int) *ring {
 	for n < size {
 		n <<= 1
 	}
-	return &ring{slots: make([]atomic.Pointer[obs.Event], n), mask: uint64(n - 1)}
+	return &ring{size: uint64(n)}
 }
 
-// publish stores ev and never blocks; the oldest retained event is
-// overwritten once the ring is full.
-func (r *ring) publish(ev obs.Event) { r.install(r.claim(), ev) }
-
-// claim takes the next ticket.
-func (r *ring) claim() uint64 { return r.head.Add(1) - 1 }
-
-// install stores ev as ticket t's event.  A slot only moves forward:
-// a producer a lap behind that finishes after the producer a lap ahead
-// finds a newer ticket in the slot and gives up, since its event is one
-// the ring has already overwritten.
-func (r *ring) install(t uint64, ev obs.Event) {
-	e := ev // one heap copy; readers share the immutable value
+// publish copies ev into the next slot and never waits on a reader;
+// the oldest retained event is overwritten once the ring is full.
+func (r *ring) publish(ev obs.Event) {
+	r.mu.Lock()
+	t := r.head
+	r.head++
+	if t < r.size {
+		r.slots = append(r.slots, ev)
+	} else {
+		r.slots[t&(r.size-1)] = ev
+	}
 	// Stamp the ticket as the event's sequence number: /events readers
 	// see a gap in seq exactly where the ring overwrote events.
-	e.Seq = t
-	slot := &r.slots[t&r.mask]
-	for {
-		old := slot.Load()
-		if old != nil && old.Seq > t {
-			return
-		}
-		if slot.CompareAndSwap(old, &e) {
-			return
-		}
-	}
+	r.slots[t&(r.size-1)].Seq = t
+	r.mu.Unlock()
 }
 
 // published returns the total number of events ever published.
-func (r *ring) published() uint64 { return r.head.Load() }
+func (r *ring) published() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.head
+}
 
 // droppedTotal returns the events lost to overwrites summed across all
 // subscribers (0 with no subscribers: an unread ring drops nothing).
-func (r *ring) droppedTotal() uint64 { return r.dropped.Load() }
+func (r *ring) droppedTotal() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.dropped
+}
 
 // subscriber is one consumer's cursor into the ring.
 type subscriber struct {
@@ -89,46 +89,36 @@ type subscriber struct {
 // subscribe starts a consumer at the oldest still-retained event, so a
 // late subscriber first replays the buffered history.
 func (r *ring) subscribe() *subscriber {
-	head := r.head.Load()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	start := uint64(0)
-	if head > uint64(len(r.slots)) {
-		start = head - uint64(len(r.slots))
+	if r.head > r.size {
+		start = r.head - r.size
 	}
 	return &subscriber{r: r, cursor: start}
 }
 
-// next returns the next event if one is available.  ok is false when
-// the subscriber is caught up (or a publish is in flight); call again.
-// Falling behind the producers advances the cursor and accounts the
-// skipped events in Dropped.
+// next returns a copy of the next event if one is available.  ok is
+// false when the subscriber is caught up; call again.  Falling behind
+// the producers advances the cursor and accounts the skipped events in
+// Dropped.
 func (s *subscriber) next() (ev obs.Event, ok bool) {
-	for {
-		head := s.r.head.Load()
-		if s.cursor >= head {
-			return obs.Event{}, false // caught up
-		}
-		if lag := head - s.cursor; lag > uint64(len(s.r.slots)) {
-			// Producers lapped us: everything up to head-size is gone.
-			skip := lag - uint64(len(s.r.slots))
-			s.dropped += skip
-			s.r.dropped.Add(skip)
-			s.cursor += skip
-		}
-		p := s.r.slots[s.cursor&s.r.mask].Load()
-		switch {
-		case p == nil || p.Seq < s.cursor:
-			// The publish for this ticket is still in flight.
-			return obs.Event{}, false
-		case p.Seq == s.cursor:
-			s.cursor++
-			return *p, true
-		default:
-			// A later lap overwrote this ticket's event.
-			s.dropped++
-			s.r.dropped.Add(1)
-			s.cursor++
-		}
+	r := s.r
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s.cursor >= r.head {
+		return obs.Event{}, false // caught up
 	}
+	if lag := r.head - s.cursor; lag > r.size {
+		// Producers lapped us: everything up to head-size is gone.
+		skip := lag - r.size
+		s.dropped += skip
+		r.dropped += skip
+		s.cursor += skip
+	}
+	ev = r.slots[s.cursor&(r.size-1)]
+	s.cursor++
+	return ev, true
 }
 
 // Dropped reports how many events this subscriber lost to overwrites.

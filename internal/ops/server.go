@@ -17,8 +17,8 @@
 //	/status         JSON: per-function audit state, runs, bugs,
 //	                restarts, elapsed, plus batch totals and coverage
 //	/events         NDJSON stream of trace events from a bounded
-//	                lock-free ring (add ?follow=1 to tail live; slow
-//	                readers drop events, never block the engine)
+//	                ring of event values (add ?follow=1 to tail live;
+//	                slow readers drop events, never block the engine)
 //	/coverage       annotated source branch-coverage report
 //	                (?format=html for the HTML page)
 //	/explain        resolved coverage explanation: every branch direction
@@ -125,19 +125,22 @@ type Server struct {
 	cfg   Config
 	start time.Time
 	ring  *ring
-	live  *obs.LiveMetrics
-	// liveProf and tree fold the event stream into per-site solver
-	// attribution and a work-weighted execution tree for /profile (the
-	// tree is capped well below the offline default: it backs a live
-	// flamegraph, not an exhaustive dump).
-	liveProf *obs.LiveProfile
-	tree     *obs.Tree
+	// tree folds the event stream into a work-weighted execution tree
+	// for /profile's flamegraph, under the lock it has as the public
+	// dart.PathTree (capped well below the offline default: it backs a
+	// live flamegraph, not an exhaustive dump).
+	tree *obs.Tree
 
-	mu    sync.Mutex
-	fns   map[string]*fnState
-	order []string
-	cov   *coverage.Set
-	done  bool
+	mu sync.Mutex
+	// metrics (behind /metrics), liveProf (the live half of /profile)
+	// and the status table (fns, order) fold each event in one critical
+	// section under mu.
+	metrics  *obs.Metrics
+	liveProf *obs.LiveProfile
+	fns      map[string]*fnState
+	order    []string
+	cov      *coverage.Set
+	done     bool
 	// prof merges the engine-side profile snapshots handed to
 	// ReportProfile — the timing-bearing half of /profile.
 	prof *obs.ProfileSnapshot
@@ -166,9 +169,9 @@ func NewServer(cfg Config) *Server {
 		cfg:      cfg,
 		start:    time.Now(),
 		ring:     newRing(cfg.RingSize),
-		live:     obs.NewLiveMetrics(),
-		liveProf: obs.NewLiveProfile(),
 		tree:     obs.NewTree(liveTreeMaxNodes),
+		metrics:  obs.NewMetrics(),
+		liveProf: obs.NewLiveProfile(),
 		fns:      map[string]*fnState{},
 		cov:      coverage.New(cfg.NumSites),
 	}
@@ -266,26 +269,30 @@ func (s *Server) Close() error {
 	return s.srv.Close()
 }
 
-// Sink returns the observer feeding the server.  It never blocks: the
-// ring overwrites, the metrics bridge and status table update under a
-// short mutex.
+// Sink returns the observer feeding the server.  It never waits on a
+// reader: the ring copies the event into a slot it may overwrite, the
+// tree folds it under its own lock, and the metrics registry, the site
+// table and the status table fold it in one critical section under
+// s.mu.  Once the ring has filled a lap and the event's paths, sites
+// and function have been seen, none of this allocates.
 func (s *Server) Sink() obs.Sink {
 	return obs.SinkFunc(func(ev obs.Event) {
 		s.ring.publish(ev)
-		s.live.Event(ev)
-		s.liveProf.Event(ev)
-		s.tree.Event(ev)
-		s.track(ev)
+		s.tree.Fold(&ev)
+		s.mu.Lock()
+		s.metrics.Fold(&ev)
+		s.liveProf.Fold(&ev)
+		s.track(&ev)
+		s.mu.Unlock()
 	})
 }
 
-// track folds one event into the per-function status table.
-func (s *Server) track(ev obs.Event) {
+// track folds one event into the per-function status table; s.mu is
+// held.
+func (s *Server) track(ev *obs.Event) {
 	if ev.Fn == "" {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	st, ok := s.fns[ev.Fn]
 	if !ok {
 		if len(s.fns) >= maxTrackedFns {
@@ -425,15 +432,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	snap := s.live.Snapshot()
-	if snap.Counters == nil {
-		snap.Counters = map[string]int64{}
-	}
+	s.mu.Lock()
+	snap := s.metrics.Snapshot()
 	// The ring's aggregate overwrite losses, always exposed (zero
 	// included) so dart_events_dropped_total exists before the first
 	// drop and alerting rules can rely on it.
 	snap.Counters["events_dropped"] = int64(s.ring.droppedTotal())
-	s.mu.Lock()
 	doneCount := 0
 	for _, st := range s.fns {
 		if st.ended {
@@ -616,8 +620,8 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		resp.Phases = append(resp.Phases, s.prof.Phases...)
 		resp.Sites = append(resp.Sites, s.prof.Sites...)
 	}
-	s.mu.Unlock()
 	live := s.liveProf.Snapshot()
+	s.mu.Unlock()
 	resp.Live.Sites = live.Sites
 	if resp.Live.Sites == nil {
 		resp.Live.Sites = []obs.SiteProfile{}

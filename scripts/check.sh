@@ -33,7 +33,7 @@ go test -count=1 -run 'TestServerLiveAudit' ./internal/ops/
 # search finds — cache on/off/tiny report equality under both engines,
 # jobs-independence with the cache on, and replayable random-mode bugs.
 go test -count=1 -run 'TestSolveCache|TestSlicingOnClusters|TestRandomBugsReplay|TestLyingDiskSatVerified' ./internal/concolic/
-go test -count=1 -run 'TestPathKeyMatchesOracle|TestSolveMatchesOracle|TestSolveIndependentOfMapOrder' ./internal/solver/
+go test -count=1 -run 'TestPathKeyMatchesOracle|TestSolveMatchesOracle|TestSolveIndependentOfMapOrder|TestSolveWideDomain' ./internal/solver/
 go test -count=1 -run 'TestAuditCacheDeterministicAcrossJobs' ./internal/audit/
 # Parallel search gate: worker-count determinism, pool invariants, the
 # shared input registry and the shared solve cache under the race
@@ -58,11 +58,14 @@ go test -count=1 -race -run 'TestPoisonedJobIsolation|TestCachedByteIdentical|Te
 # counter plane is deterministic; only nanos are wall clock), profiling
 # must stay off unless asked for, /profile + flame + per-job envelope
 # profiles must serve real data, ring drops must be visible as seq gaps
-# plus dart_events_dropped_total, and long-poll/SSE job completion must
-# block, stream, and shed load honestly.
+# plus dart_events_dropped_total, the live event fan-out must stay exact
+# under concurrent producers and allocate nothing per event once warm,
+# and long-poll/SSE job completion must block, stream, and shed load
+# honestly.
 go test -count=1 -race -run 'TestProfileDeterministicAcrossWorkers|TestProfileOffByDefault|TestProfilePhases|TestProfileCacheAttribution' ./internal/concolic/
-go test -count=1 -run 'TestProfile|TestLiveProfile|TestLiveMetrics|TestTreeFlame' ./internal/obs/
-go test -count=1 -race -run 'TestRingSeqGapsMatchDrops|TestEventsFollowTrailingDrops|TestServerProfileEndpoint|TestRingLateInstall' ./internal/ops/
+go test -count=1 -run 'TestProfile|TestLiveProfile|TestMetricsFold|TestTreeFlame|TestTreeInterleavedStreams' ./internal/obs/
+go test -count=1 -race -run 'TestRingSeqGapsMatchDrops|TestEventsFollowTrailingDrops|TestServerProfileEndpoint|TestSinkConcurrent|TestRingConcurrentAccounting' ./internal/ops/
+go test -count=1 -run 'TestSinkSteadyStateAllocs' ./internal/ops/
 go test -count=1 -race -run 'TestJobWait|TestJobSSEStream|TestCachedJobHasNoProfile|TestJobProfileFeedsServerProfile' ./internal/serve/
 # CLI end to end: -profile must print both cost tables and -json must
 # carry the structured profile object.
