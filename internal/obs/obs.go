@@ -10,10 +10,10 @@
 // engine emits (Metrics.Fold), and the ops server folds the observed
 // stream into its own registry and a LiveProfile with the same
 // functions, so the live views and the final report agree by
-// construction.  With no sink and no registry an
-// emit is a stack value and two nil-checks, and none sits inside the
-// machine's per-instruction step loop, so observation never taxes raw
-// execution throughput.  Events carry only deterministic payloads (run
+// construction.  With no sink and no registry an emit is a stack value
+// and two nil-checks, and none sits inside the machine's
+// per-instruction step loop, so observation never taxes raw execution
+// throughput.  Events carry only deterministic payloads (run
 // indices, branch depths, path bit strings, solver work units — never
 // wall-clock times), so a fixed-seed search produces a byte-identical
 // NDJSON trace on every replay.
