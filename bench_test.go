@@ -12,15 +12,9 @@ package dart
 // benchmarking harness.
 
 import (
-	"fmt"
-	"sort"
 	"testing"
 
-	"dart/internal/audit"
-	"dart/internal/corpus"
-	"dart/internal/iface"
 	"dart/internal/minisip"
-	"dart/internal/obs"
 	"dart/internal/progs"
 	"dart/internal/protocols"
 )
@@ -288,37 +282,6 @@ func BenchmarkShapeSearchAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkSolverHeavyGate: the solver fast path on the cache workload —
-// a gauntlet of sequential conditionals whose flips reduce, after
-// independence slicing, to a handful of distinct (slice, hint) keys.
-// Besides time/op it reports the solver work units actually spent
-// (cache hits spend none) and the solver call count; the cache/nocache
-// pair is the A/B the -solve-cache flag exposes.
-func BenchmarkSolverHeavyGate(b *testing.B) {
-	prog := benchProgram(b, progs.SolverGate)
-	for _, v := range []struct {
-		name string
-		cap  int
-	}{{"cache", 0}, {"nocache", -1}} {
-		b.Run(v.name, func(b *testing.B) {
-			var work, calls int64
-			for i := 0; i < b.N; i++ {
-				rep, err := Run(prog, Options{
-					Toplevel: "gate", MaxRuns: 300, Seed: int64(i + 1),
-					SolveCacheCap: v.cap, CollectMetrics: true,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				work += rep.Metrics.Histograms[obs.HSolverWork].Sum
-				calls += int64(rep.SolverCalls)
-			}
-			b.ReportMetric(float64(work)/float64(b.N), "solverwork/op")
-			b.ReportMetric(float64(calls)/float64(b.N), "solvercalls/op")
-		})
-	}
-}
-
 // BenchmarkMachineThroughput: raw concolic-execution speed — one full
 // depth-2 Dolev-Yao sweep (1228 runs) per iteration, reporting runs per
 // second (the paper's search did ~300 runs/s on 2005 hardware).  The
@@ -384,48 +347,6 @@ func BenchmarkProfileOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkerScaling: the parallel frontier's scaling curve over a
-// machine-heavy workload (a depth-2 Dolev-Yao sweep: thousands of
-// concrete executions, cheap solves) and a solver-heavy one (the
-// SolverGate gauntlet: most of the time inside the solver fast path).
-// BFS puts every worker count on the same frontier scheduler, so each
-// sub-benchmark performs the same logical search and time/op isolates
-// the pool's effect.  runs/op must not drift across worker counts (the
-// determinism contract); speedup is bounded by available cores — on a
-// single-CPU container expect a flat curve, and the interesting gate is
-// that workers=2..8 stay within the coordination-overhead noise of
-// workers=1 rather than behind it.
-func BenchmarkWorkerScaling(b *testing.B) {
-	workloads := []struct {
-		name string
-		prog *Program
-		opts Options
-	}{
-		{"machine", benchProgram(b, protocols.Source(protocols.DolevYao, protocols.NoFix)),
-			Options{Toplevel: protocols.Toplevel, Depth: 2, MaxRuns: 5000, Strategy: BFS}},
-		{"solver", benchProgram(b, progs.SolverGate),
-			Options{Toplevel: "gate", MaxRuns: 300, Strategy: BFS}},
-	}
-	for _, wl := range workloads {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers=%d", wl.name, workers), func(b *testing.B) {
-				var runs int64
-				for i := 0; i < b.N; i++ {
-					opts := wl.opts
-					opts.Seed = int64(i + 1)
-					opts.Workers = workers
-					rep, err := Run(wl.prog, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					runs += int64(rep.Runs)
-				}
-				b.ReportMetric(float64(runs)/float64(b.N), "runs/op")
-			})
-		}
-	}
-}
-
 // BenchmarkCompile: front-end cost over the largest source (minisip).
 func BenchmarkCompile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -433,55 +354,4 @@ func BenchmarkCompile(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkIncrementalReaudit: the incremental re-audit cold/warm A/B
-// on the paper's flagship target.  cold audits the full miniSIP
-// library into a fresh corpus — search, set-cover distillation, entry
-// store.  warm re-audits the unchanged library from a populated corpus
-// — IR hash check, distilled-suite replay, bug-fixture validation.
-// The 1000-run budget is the paper's own (Sec. 4.3); replay cost is
-// proportional to the distilled suite, not the search budget, which is
-// the point of distillation.  Gate (the PR 10 entry of CHANGES.md):
-// warm ns/op at least 10x below cold; verdict equality itself is
-// TestIncrementalSIPWarmMatchesCold's job.
-func BenchmarkIncrementalReaudit(b *testing.B) {
-	prog, sem, err := minisip.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	fns := iface.Candidates(sem)
-	sort.Strings(fns)
-	newOpts := func(c *corpus.Corpus) audit.Options {
-		return audit.Options{Toplevels: fns, Seed: 1, MaxRuns: 1000, Corpus: c}
-	}
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			c, err := corpus.Open(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			if res := audit.Run(prog, newOpts(c)); res.CorpusHits != 0 {
-				b.Fatal("cold run hit the corpus")
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		c, err := corpus.Open(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		seed := audit.Run(prog, newOpts(c))
-		if seed.CorpusStores == 0 {
-			b.Fatal("seeding run stored nothing")
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if res := audit.Run(prog, newOpts(c)); res.CorpusHits != seed.CorpusStores {
-				b.Fatalf("warm run hit %d of %d entries", res.CorpusHits, seed.CorpusStores)
-			}
-		}
-	})
 }

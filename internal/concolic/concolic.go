@@ -421,9 +421,9 @@ type sharedSearch struct {
 	// regs interns every input path once, so symbolic variable numbering
 	// — and with it solve-cache keys — is global to the search.
 	regs *machine.InputTrie
-	// cache memoizes sliced solves (nil when disabled by SolveCacheCap):
-	// a *solver.Cache for one engine, a *solver.ShardedCache for a pool.
-	cache solver.SolveCache
+	// cache memoizes sliced solves for every engine (nil when disabled by
+	// SolveCacheCap).
+	cache *solver.Cache
 	// rec is the run log for suite distillation (nil unless RecordRuns);
 	// one log spans the search, since the distilled suite must cover the
 	// union coverage.
@@ -471,11 +471,7 @@ func newSearch(prog *ir.Prog, opts Options) (*sharedSearch, error) {
 		s.deadline = s.start.Add(o.Timeout)
 	}
 	if o.SolveCacheCap >= 0 {
-		if o.Workers > 1 {
-			s.cache = solver.NewShardedCache(o.SolveCacheCap, o.Workers)
-		} else {
-			s.cache = solver.NewCache(o.SolveCacheCap)
-		}
+		s.cache = solver.NewCache(o.SolveCacheCap, o.Workers)
 	}
 	if o.RecordRuns {
 		s.rec = newRunRecorder(prog.NumSites, s.regs)

@@ -75,19 +75,14 @@ type Config struct {
 	// idleness the stream carries an ops-heartbeat meta line, so
 	// proxies and slow consumers do not reap a healthy tail.
 	Heartbeat time.Duration
-	// ReadHeaderTimeout, ReadTimeout, IdleTimeout, and MaxHeaderBytes
-	// harden the listener against slow or abusive clients: without them
-	// one client trickling a request header pins a connection (and its
-	// goroutine) forever.  Zero selects the defaults (5s, 30s, 120s,
-	// 64 KiB); the write side stays unbounded because /events?follow=1
-	// is a legitimate long-lived streaming response.
-	ReadHeaderTimeout time.Duration
-	ReadTimeout       time.Duration
-	IdleTimeout       time.Duration
-	MaxHeaderBytes    int
+	// MaxHeaderBytes caps a request's header (default 64 KiB).
+	MaxHeaderBytes int
 }
 
-// Hardened-listener defaults (Config zero values).
+// Hardened-listener settings: without the read deadlines one client
+// trickling a request header pins a connection (and its goroutine)
+// forever.  The write side stays unbounded because /events?follow=1 is
+// a legitimate long-lived streaming response.
 const (
 	defaultReadHeaderTimeout = 5 * time.Second
 	defaultReadTimeout       = 30 * time.Second
@@ -210,25 +205,16 @@ func (s *Server) Listen() error {
 // abusive client can never pin a connection forever.  WriteTimeout is
 // deliberately zero — /events?follow=1 streams until the client leaves.
 func (s *Server) httpServer() *http.Server {
-	cfg := s.cfg
-	if cfg.ReadHeaderTimeout <= 0 {
-		cfg.ReadHeaderTimeout = defaultReadHeaderTimeout
-	}
-	if cfg.ReadTimeout <= 0 {
-		cfg.ReadTimeout = defaultReadTimeout
-	}
-	if cfg.IdleTimeout <= 0 {
-		cfg.IdleTimeout = defaultIdleTimeout
-	}
-	if cfg.MaxHeaderBytes <= 0 {
-		cfg.MaxHeaderBytes = defaultMaxHeaderBytes
+	maxHeader := s.cfg.MaxHeaderBytes
+	if maxHeader <= 0 {
+		maxHeader = defaultMaxHeaderBytes
 	}
 	return &http.Server{
 		Handler:           s.Handler(),
-		ReadHeaderTimeout: cfg.ReadHeaderTimeout,
-		ReadTimeout:       cfg.ReadTimeout,
-		IdleTimeout:       cfg.IdleTimeout,
-		MaxHeaderBytes:    cfg.MaxHeaderBytes,
+		ReadHeaderTimeout: defaultReadHeaderTimeout,
+		ReadTimeout:       defaultReadTimeout,
+		IdleTimeout:       defaultIdleTimeout,
+		MaxHeaderBytes:    maxHeader,
 	}
 }
 

@@ -50,7 +50,7 @@ import (
 	"dart/internal/sema"
 )
 
-// Defaults for Config zero values.
+// Defaults for Config and Submission zero values.
 const (
 	DefaultQueueDepth   = 64
 	DefaultJobTimeout   = 60 * time.Second
@@ -102,9 +102,6 @@ type Config struct {
 	// GET /jobs/{id} (default 512); older completed jobs are evicted in
 	// completion order.
 	HistoryCap int
-	// AuditRuns is the per-function run budget for submissions that do
-	// not specify one (default 1000, the paper's oSIP budget).
-	AuditRuns int
 	// MaxRuns caps the per-function run budget a submission may request
 	// (0 = no cap beyond the int range).
 	MaxRuns int
@@ -157,9 +154,6 @@ func (c *Config) withDefaults() Config {
 	if out.HistoryCap <= 0 {
 		out.HistoryCap = DefaultHistoryCap
 	}
-	if out.AuditRuns <= 0 {
-		out.AuditRuns = DefaultAuditRuns
-	}
 	if out.MaxRetries == 0 {
 		out.MaxRetries = defaultMaxRetries
 	}
@@ -184,7 +178,8 @@ type Submission struct {
 	Lib string
 	// Seed drives the audit (function i runs with Seed+i); default 1.
 	Seed int64
-	// Runs is the per-function run budget (0 = Config.AuditRuns).
+	// Runs is the per-function run budget (0 = DefaultAuditRuns, the
+	// paper's oSIP budget).
 	Runs int
 	// Depth is the calls-per-run depth parameter (0 = 1).
 	Depth int
@@ -393,7 +388,7 @@ func (s *Service) Submit(sub Submission) (*Job, error) {
 		sub.Seed = 1
 	}
 	if sub.Runs <= 0 {
-		sub.Runs = s.cfg.AuditRuns
+		sub.Runs = DefaultAuditRuns
 	}
 	if s.cfg.MaxRuns > 0 && sub.Runs > s.cfg.MaxRuns {
 		s.reject("bad-request")

@@ -12,7 +12,6 @@ package serve
 
 import (
 	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -21,6 +20,7 @@ import (
 	"time"
 
 	"dart/internal/corpus"
+	"dart/internal/lru"
 )
 
 // DefaultStoreCap bounds the result store when Config.StoreCap is zero.
@@ -49,31 +49,23 @@ func cacheKey(src string, seed int64, runs, depth int, random bool, fnTimeout ti
 // job simply re-executes (its put then overwrites the spill).
 type store struct {
 	mu        sync.Mutex
-	cap       int
-	spill     *corpus.Corpus // nil = memory-only
-	entries   map[string]*list.Element
-	lru       *list.List // front = most recently used
+	lru       *lru.Cache[[]byte] // nil = in-memory caching off
+	spill     *corpus.Corpus     // nil = memory-only
 	hits      uint64
 	misses    uint64
 	evictions uint64
 	diskHits  uint64
 }
 
-type storeEntry struct {
-	key    string
-	report []byte
-}
-
 // newStore returns a store holding at most cap reports in memory,
 // spilling to the corpus when one is attached; cap <= 0 disables
 // in-memory caching (gets still consult the spill when present).
 func newStore(cap int, spill *corpus.Corpus) *store {
-	return &store{
-		cap:     cap,
-		spill:   spill,
-		entries: map[string]*list.Element{},
-		lru:     list.New(),
+	s := &store{spill: spill}
+	if cap > 0 {
+		s.lru = lru.New[[]byte](cap)
 	}
+	return s
 }
 
 // Cache-source labels returned by get (and surfaced on job envelopes).
@@ -87,12 +79,12 @@ const (
 // and promoted back into the LRU), or "" on a miss.
 func (s *store) get(key string) ([]byte, string) {
 	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		s.hits++
-		s.lru.MoveToFront(el)
-		rep := el.Value.(*storeEntry).report
-		s.mu.Unlock()
-		return rep, cacheSourceMemory
+	if s.lru != nil {
+		if rep, ok := s.lru.Get(key); ok {
+			s.hits++
+			s.mu.Unlock()
+			return rep, cacheSourceMemory
+		}
 	}
 	s.mu.Unlock()
 	if s.spill != nil {
@@ -118,49 +110,36 @@ func validReport(b []byte) bool {
 	return json.Valid(b) && bytes.IndexAny(b, "\r\n") < 0
 }
 
-// put caches report under key, evicting the least recently used entry
-// when the store is full, and persists it to the spill.  Re-putting an
-// existing key refreshes its recency and keeps the first bytes (equal
-// by construction: equal keys imply identical reports).
+// put caches report under key as the most recently used entry,
+// evicting the least recently used one when the store is full, and
+// persists it to the spill.  Re-putting a held key replaces its bytes
+// with equal ones (equal keys imply identical reports).
 func (s *store) put(key string, report []byte) {
 	if s.spill != nil {
 		// Spill even when the in-memory cache is off or full: disk is the
 		// restart-survival layer, and writes are atomic (tmp+rename).
 		_ = s.spill.StoreReport(key, report)
 	}
-	if s.cap <= 0 {
-		return
-	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
-		s.lru.MoveToFront(el)
-		return
-	}
 	s.insert(key, report)
+	s.mu.Unlock()
 }
 
-// insert adds a fresh entry under the lock, evicting beyond cap.
+// insert caches report under key with the lock held, counting an
+// eviction.
 func (s *store) insert(key string, report []byte) {
-	if s.cap <= 0 {
-		return
-	}
-	if _, ok := s.entries[key]; ok {
-		return
-	}
-	for s.lru.Len() >= s.cap {
-		oldest := s.lru.Back()
-		s.lru.Remove(oldest)
-		delete(s.entries, oldest.Value.(*storeEntry).key)
+	if s.lru != nil && s.lru.Put(key, report) {
 		s.evictions++
 	}
-	s.entries[key] = s.lru.PushFront(&storeEntry{key: key, report: report})
 }
 
 // len reports the current entry count.
 func (s *store) len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.lru == nil {
+		return 0
+	}
 	return s.lru.Len()
 }
 

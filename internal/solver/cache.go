@@ -1,10 +1,10 @@
 package solver
 
 import (
-	"container/list"
+	"maps"
 	"sync"
-	"sync/atomic"
 
+	"dart/internal/lru"
 	"dart/internal/symbolic"
 )
 
@@ -24,210 +24,85 @@ type CachedSolve struct {
 	Model map[symbolic.Var]int64
 }
 
-// SolveCache is the memoization contract of the solver fast path: Get
-// returns a previously stored slice-level result, Put stores one and
-// reports whether doing so evicted an older entry.  The single-owner
-// Cache implements it lock-free for sequential searches; ShardedCache
-// implements it with per-shard locking for the parallel frontier
-// engine, whose workers share one memo.
-type SolveCache interface {
-	Get(key string) (CachedSolve, bool)
-	Put(key string, verdict Verdict, model map[symbolic.Var]int64) (evicted bool)
-}
-
-// Cache is a bounded LRU memo of sliced solves, keyed by CacheKey.  One
-// search owns one cache (no locking), mirroring the per-search metrics
-// registry, so a parallel audit's results stay independent of its
-// worker count.  Because the key renders the exact solver input — the
+// Cache is the solve cache: a bounded LRU memo of sliced solves, keyed
+// by CacheKey.  Because the key renders the exact solver input — the
 // predicate sequence plus the hint values the solve depends on — a hit
 // is identical to re-running the solver: caching can change how fast a
 // search runs, never what it finds.
-type Cache struct {
-	cap     int
-	entries map[string]*list.Element
-	lru     *list.List // front = most recent
-	hits    int64
-	misses  int64
-	evicted int64
-}
-
-type cacheEntry struct {
-	key string
-	res CachedSolve
-}
-
-// NewCache returns a cache holding up to capacity entries (<= 0 selects
-// DefaultCacheCap).
-func NewCache(capacity int) *Cache {
-	if capacity <= 0 {
-		capacity = DefaultCacheCap
-	}
-	return &Cache{
-		cap:     capacity,
-		entries: make(map[string]*list.Element),
-		lru:     list.New(),
-	}
-}
-
-// Get returns the memoized result for key.  The model is copied, so
-// callers may complete or consume it freely.
-func (c *Cache) Get(key string) (CachedSolve, bool) {
-	el, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		return CachedSolve{}, false
-	}
-	c.hits++
-	c.lru.MoveToFront(el)
-	res := el.Value.(*cacheEntry).res
-	res.Model = copyModel(res.Model)
-	return res, true
-}
-
-// Put memoizes the result for key, evicting the least recently used
-// entry when full; it reports whether an eviction happened.  The model
-// is copied at store time.
-func (c *Cache) Put(key string, verdict Verdict, model map[symbolic.Var]int64) (evicted bool) {
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).res = CachedSolve{Verdict: verdict, Model: copyModel(model)}
-		c.lru.MoveToFront(el)
-		return false
-	}
-	if c.lru.Len() >= c.cap {
-		oldest := c.lru.Back()
-		if oldest != nil {
-			delete(c.entries, oldest.Value.(*cacheEntry).key)
-			c.lru.Remove(oldest)
-			c.evicted++
-			evicted = true
-		}
-	}
-	c.entries[key] = c.lru.PushFront(&cacheEntry{
-		key: key,
-		res: CachedSolve{Verdict: verdict, Model: copyModel(model)},
-	})
-	return evicted
-}
-
-// Hits, Misses, and Evictions report the cache's lifetime activity.
-func (c *Cache) Hits() int64      { return c.hits }
-func (c *Cache) Misses() int64    { return c.misses }
-func (c *Cache) Evictions() int64 { return c.evicted }
-
-// Len returns the number of live entries.
-func (c *Cache) Len() int { return c.lru.Len() }
-
-// ShardedCache is the concurrency-safe solve cache shared by the
-// workers of a parallel frontier search: the key space is split over
-// power-of-two shards by FNV-1a hash, each shard a private LRU Cache
-// behind its own mutex, so workers solving unrelated constraints never
-// contend on one lock.  Hit/miss/eviction totals are atomics, readable
-// while workers run.
 //
-// Sharing is sound for the same reason the per-search cache is: keys
-// render the exact solver input against a variable numbering that is
-// global to the search (the parallel engine shares one input registry
-// across workers), so a hit — whoever stored it — returns precisely
-// what a fresh solve would.
-type ShardedCache struct {
+// One search owns one cache, shared by all of its workers.  The key
+// space is split over power-of-two shards by FNV-1a hash, each shard an
+// LRU behind its own mutex, so workers solving unrelated constraints
+// never contend on one lock; one worker gets one shard holding the
+// whole capacity.  Sharing is sound because keys render against a
+// variable numbering that is global to the search (every worker interns
+// inputs in one registry), so a hit — whoever stored it — returns
+// precisely what a fresh solve would.  The cache keeps no tallies: the
+// engine books hits, misses and evictions from Get's and Put's results.
+type Cache struct {
 	shards []cacheShard
 	mask   uint32
-	hits   atomic.Int64
-	misses atomic.Int64
-	evicts atomic.Int64
 }
 
 type cacheShard struct {
-	mu sync.Mutex
-	c  *Cache
+	mu  sync.Mutex
+	lru *lru.Cache[CachedSolve]
 	// padding to keep neighbouring shard locks off one cache line.
 	_ [48]byte
 }
 
-// NewShardedCache returns a sharded cache holding up to capacity entries
-// in total (<= 0 selects DefaultCacheCap), spread over at least shards
-// shards (rounded up to a power of two, minimum 2).
-func NewShardedCache(capacity, shards int) *ShardedCache {
+// NewCache returns a cache holding up to capacity entries in total
+// (<= 0 selects DefaultCacheCap) for a search of the given number of
+// workers: the smallest power of two of shards at least workers, each
+// holding an equal part of the capacity (at least one entry).
+func NewCache(capacity, workers int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCap
 	}
-	n := 2
-	for n < shards {
+	n := 1
+	for n < workers {
 		n <<= 1
 	}
-	per := capacity / n
-	if per < 1 {
-		per = 1
+	c := &Cache{shards: make([]cacheShard, n), mask: uint32(n - 1)}
+	for i := range c.shards {
+		c.shards[i].lru = lru.New[CachedSolve](capacity / n)
 	}
-	s := &ShardedCache{shards: make([]cacheShard, n), mask: uint32(n - 1)}
-	for i := range s.shards {
-		s.shards[i].c = NewCache(per)
-	}
-	return s
+	return c
 }
 
 // shardOf hashes key with FNV-1a and masks into the shard table.
-func (s *ShardedCache) shardOf(key string) *cacheShard {
+func (c *Cache) shardOf(key string) *cacheShard {
+	if c.mask == 0 {
+		return &c.shards[0]
+	}
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])
 		h *= 16777619
 	}
-	return &s.shards[h&s.mask]
+	return &c.shards[h&c.mask]
 }
 
-// Get implements SolveCache.  The model is copied by the underlying
-// shard, so callers may mutate it freely.
-func (s *ShardedCache) Get(key string) (CachedSolve, bool) {
-	sh := s.shardOf(key)
+// Get returns the memoized result for key.  The model is copied, so
+// callers may complete or consume it freely; the copy is made outside
+// the lock, since a stored model is never written after Put.
+func (c *Cache) Get(key string) (CachedSolve, bool) {
+	sh := c.shardOf(key)
 	sh.mu.Lock()
-	res, ok := sh.c.Get(key)
+	res, ok := sh.lru.Get(key)
 	sh.mu.Unlock()
-	if ok {
-		s.hits.Add(1)
-	} else {
-		s.misses.Add(1)
-	}
+	res.Model = maps.Clone(res.Model)
 	return res, ok
 }
 
-// Put implements SolveCache.
-func (s *ShardedCache) Put(key string, verdict Verdict, model map[symbolic.Var]int64) (evicted bool) {
-	sh := s.shardOf(key)
+// Put memoizes the result for key, evicting its shard's least recently
+// used entry when the shard is full; it reports whether an eviction
+// happened.  The model is copied at store time.
+func (c *Cache) Put(key string, verdict Verdict, model map[symbolic.Var]int64) (evicted bool) {
+	res := CachedSolve{Verdict: verdict, Model: maps.Clone(model)}
+	sh := c.shardOf(key)
 	sh.mu.Lock()
-	evicted = sh.c.Put(key, verdict, model)
+	evicted = sh.lru.Put(key, res)
 	sh.mu.Unlock()
-	if evicted {
-		s.evicts.Add(1)
-	}
 	return evicted
-}
-
-// Hits, Misses, and Evictions report the cache's lifetime activity;
-// safe to read while workers are still solving.
-func (s *ShardedCache) Hits() int64      { return s.hits.Load() }
-func (s *ShardedCache) Misses() int64    { return s.misses.Load() }
-func (s *ShardedCache) Evictions() int64 { return s.evicts.Load() }
-
-// Len returns the number of live entries across all shards.
-func (s *ShardedCache) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += sh.c.Len()
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-func copyModel(m map[symbolic.Var]int64) map[symbolic.Var]int64 {
-	if m == nil {
-		return nil
-	}
-	out := make(map[symbolic.Var]int64, len(m))
-	for v, x := range m {
-		out[v] = x
-	}
-	return out
 }

@@ -3,97 +3,154 @@ package solver
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dart/internal/symbolic"
 )
 
-func TestShardedCacheGetPut(t *testing.T) {
-	c := NewShardedCache(64, 4)
-	if _, ok := c.Get("k1"); ok {
+func TestCacheGetPut(t *testing.T) {
+	c := NewCache(64, 4)
+	hits, misses := 0, 0
+	get := func(key string) (CachedSolve, bool) {
+		res, ok := c.Get(key)
+		if ok {
+			hits++
+		} else {
+			misses++
+		}
+		return res, ok
+	}
+	if _, ok := get("k1"); ok {
 		t.Fatal("hit on an empty cache")
 	}
-	model := map[symbolic.Var]int64{0: 42}
-	c.Put("k1", Sat, model)
-	res, ok := c.Get("k1")
-	if !ok || res.Verdict != Sat || res.Model[0] != 42 {
+	c.Put("k1", Sat, map[symbolic.Var]int64{0: 42})
+	if res, ok := get("k1"); !ok || res.Verdict != Sat || res.Model[0] != 42 {
 		t.Fatalf("Get(k1) = %+v, %v", res, ok)
 	}
-	// The returned model is a copy: mutating it must not poison the entry.
-	res.Model[0] = 7
-	res2, _ := c.Get("k1")
-	if res2.Model[0] != 42 {
-		t.Fatalf("cached model mutated through a Get copy: %v", res2.Model)
-	}
-	// So is the stored model relative to the caller's map.
-	model[0] = 9
-	res3, _ := c.Get("k1")
-	if res3.Model[0] != 42 {
-		t.Fatalf("cached model aliases the caller's map: %v", res3.Model)
-	}
 	c.Put("k2", Unsat, nil)
-	if res, ok := c.Get("k2"); !ok || res.Verdict != Unsat || res.Model != nil {
+	if res, ok := get("k2"); !ok || res.Verdict != Unsat || res.Model != nil {
 		t.Fatalf("Get(k2) = %+v, %v", res, ok)
 	}
-	if c.Hits() != 4 || c.Misses() != 1 {
-		t.Errorf("hits=%d misses=%d, want 4/1", c.Hits(), c.Misses())
-	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d, want 2", c.Len())
+	if hits != 2 || misses != 1 {
+		t.Errorf("hits=%d misses=%d, want 2/1", hits, misses)
 	}
 }
 
-func TestShardedCacheShardRounding(t *testing.T) {
-	for _, tc := range []struct{ ask, want int }{
-		{0, 2}, {1, 2}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {8, 8}, {9, 16},
+func TestCacheShardCount(t *testing.T) {
+	for _, tc := range []struct{ workers, want int }{
+		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {8, 8},
 	} {
-		c := NewShardedCache(0, tc.ask)
-		if got := len(c.shards); got != tc.want {
-			t.Errorf("shards=%d: got %d shards, want %d", tc.ask, got, tc.want)
+		if got := len(NewCache(0, tc.workers).shards); got != tc.want {
+			t.Errorf("workers=%d: got %d shards, want %d", tc.workers, got, tc.want)
 		}
 	}
 }
 
-func TestShardedCacheEviction(t *testing.T) {
-	// Total capacity 4 over 2 shards: 2 entries per shard.  Inserting
-	// many distinct keys must evict, count the evictions, and keep Len
-	// bounded by the capacity.
-	c := NewShardedCache(4, 2)
-	for i := 0; i < 32; i++ {
-		c.Put(fmt.Sprintf("key-%d", i), Unsat, nil)
+func TestCacheLRUEviction(t *testing.T) {
+	c := NewCache(2, 1)
+	evictions := 0
+	put := func(key string, v Verdict, m map[symbolic.Var]int64) bool {
+		evicted := c.Put(key, v, m)
+		if evicted {
+			evictions++
+		}
+		return evicted
 	}
-	if c.Evictions() == 0 {
+	put("k1", Sat, map[symbolic.Var]int64{0: 1})
+	if put("k2", Unsat, nil) {
+		t.Error("filling to capacity must not evict")
+	}
+	c.Get("k1") // k2 becomes least recently used
+	if !put("k3", Sat, nil) {
+		t.Error("inserting past capacity must evict")
+	}
+	if _, ok := c.Get("k2"); ok {
+		t.Error("the LRU entry (k2) should have been evicted")
+	}
+	for _, k := range []string{"k1", "k3"} {
+		if _, ok := c.Get(k); !ok {
+			t.Errorf("%s must survive", k)
+		}
+	}
+	if evictions != 1 {
+		t.Errorf("evictions=%d, want 1", evictions)
+	}
+}
+
+func TestCacheShardEviction(t *testing.T) {
+	// Total capacity 4 over 2 shards: 2 entries per shard.  Inserting
+	// many distinct keys must evict, and every put either left its key
+	// held or evicted another, so held + evicted = puts with at most
+	// the capacity held.
+	c := NewCache(4, 2)
+	const puts = 32
+	evictions, held := 0, 0
+	for i := 0; i < puts; i++ {
+		if c.Put(fmt.Sprintf("key-%d", i), Unsat, nil) {
+			evictions++
+		}
+	}
+	for i := 0; i < puts; i++ {
+		if _, ok := c.Get(fmt.Sprintf("key-%d", i)); ok {
+			held++
+		}
+	}
+	if evictions == 0 {
 		t.Error("no evictions after overfilling")
 	}
-	if c.Len() > 4 {
-		t.Errorf("Len = %d exceeds total capacity 4", c.Len())
+	if held > 4 {
+		t.Errorf("%d keys held, beyond the total capacity 4", held)
 	}
-	if c.Evictions() != 32-int64(c.Len()) {
-		t.Errorf("evictions=%d + live=%d != 32 puts", c.Evictions(), c.Len())
-	}
-}
-
-func TestShardedCacheOverwrite(t *testing.T) {
-	c := NewShardedCache(8, 2)
-	c.Put("k", Unsat, nil)
-	if evicted := c.Put("k", Sat, map[symbolic.Var]int64{1: 5}); evicted {
-		t.Error("overwriting a live key reported an eviction")
-	}
-	res, ok := c.Get("k")
-	if !ok || res.Verdict != Sat || res.Model[1] != 5 {
-		t.Fatalf("Get after overwrite = %+v, %v", res, ok)
-	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1", c.Len())
+	if evictions+held != puts {
+		t.Errorf("evictions=%d + held=%d != %d puts", evictions, held, puts)
 	}
 }
 
-// TestShardedCacheConcurrent hammers one cache from many goroutines with
+func TestCacheUpdateInPlace(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		c := NewCache(workers, workers) // one entry per shard
+		c.Put("k", Sat, map[symbolic.Var]int64{0: 1})
+		if c.Put("k", Unsat, nil) {
+			t.Errorf("workers=%d: re-memoizing an existing key must not evict", workers)
+		}
+		if got, ok := c.Get("k"); !ok || got.Verdict != Unsat {
+			t.Errorf("workers=%d: updated entry = %+v, want Unsat", workers, got)
+		}
+		if c.Put("k", Sat, map[symbolic.Var]int64{1: 5}) {
+			t.Errorf("workers=%d: re-memoizing an existing key must not evict", workers)
+		}
+		if got, ok := c.Get("k"); !ok || got.Verdict != Sat || got.Model[1] != 5 {
+			t.Errorf("workers=%d: updated entry = %+v, want Sat with v1=5", workers, got)
+		}
+	}
+}
+
+func TestCacheModelIsCopied(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		c := NewCache(4, workers)
+		model := map[symbolic.Var]int64{0: 10}
+		c.Put("k", Sat, model)
+		model[0] = 99 // caller mutates after store
+		got, _ := c.Get("k")
+		if got.Model[0] != 10 {
+			t.Errorf("workers=%d: stored model aliased the caller's map", workers)
+		}
+		got.Model[0] = 55 // consumer mutates the returned copy
+		again, _ := c.Get("k")
+		if again.Model[0] != 10 {
+			t.Errorf("workers=%d: returned model aliased the cached map", workers)
+		}
+	}
+}
+
+// TestCacheConcurrent hammers one cache from many goroutines with
 // overlapping key sets; run under -race this is the data-race gate for
-// the shard locking and the atomic counters.
-func TestShardedCacheConcurrent(t *testing.T) {
-	c := NewShardedCache(128, 8)
+// the shard locking and the model copies made outside it.
+func TestCacheConcurrent(t *testing.T) {
+	c := NewCache(128, 8)
 	var wg sync.WaitGroup
+	var hits atomic.Int64
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -101,9 +158,11 @@ func TestShardedCacheConcurrent(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				key := fmt.Sprintf("key-%d", i%64)
 				if res, ok := c.Get(key); ok {
-					if res.Verdict == Sat && res.Model[0] != int64(i%64) {
-						t.Errorf("goroutine %d: key %s has model %v", g, key, res.Model)
+					hits.Add(1)
+					if res.Verdict != Sat || res.Model[0] != int64(i%64) {
+						t.Errorf("goroutine %d: key %s has %+v", g, key, res)
 					}
+					res.Model[0] = -1 // the copy is the caller's to write
 					continue
 				}
 				c.Put(key, Sat, map[symbolic.Var]int64{0: int64(i % 64)})
@@ -111,7 +170,7 @@ func TestShardedCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := c.Hits() + c.Misses(); got != 8*500 {
-		t.Errorf("hits+misses = %d, want %d", got, 8*500)
+	if hits.Load() == 0 {
+		t.Error("no hits over 4,000 lookups of 64 keys")
 	}
 }

@@ -106,55 +106,6 @@ func TestCacheKeyIncludesHintOfSliceVars(t *testing.T) {
 	}
 }
 
-func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(2)
-	c.Put("k1", Sat, map[symbolic.Var]int64{0: 1})
-	if c.Put("k2", Unsat, nil) {
-		t.Error("filling to capacity must not evict")
-	}
-	c.Get("k1") // k2 becomes least recently used
-	if !c.Put("k3", Sat, nil) {
-		t.Error("inserting past capacity must evict")
-	}
-	if _, ok := c.Get("k2"); ok {
-		t.Error("the LRU entry (k2) should have been evicted")
-	}
-	if _, ok := c.Get("k1"); !ok {
-		t.Error("recently used k1 must survive")
-	}
-	if c.Len() != 2 || c.Evictions() != 1 {
-		t.Errorf("len=%d evictions=%d, want 2/1", c.Len(), c.Evictions())
-	}
-}
-
-func TestCacheUpdateInPlace(t *testing.T) {
-	c := NewCache(1)
-	c.Put("k", Sat, map[symbolic.Var]int64{0: 1})
-	if c.Put("k", Unsat, nil) {
-		t.Error("re-memoizing an existing key must not evict")
-	}
-	got, ok := c.Get("k")
-	if !ok || got.Verdict != Unsat {
-		t.Errorf("updated entry = %+v, want Unsat", got)
-	}
-}
-
-func TestCacheModelIsCopied(t *testing.T) {
-	c := NewCache(4)
-	model := map[symbolic.Var]int64{0: 10}
-	c.Put("k", Sat, model)
-	model[0] = 99 // caller mutates after store
-	got, _ := c.Get("k")
-	if got.Model[0] != 10 {
-		t.Error("stored model aliased the caller's map")
-	}
-	got.Model[0] = 55 // consumer mutates the returned copy
-	again, _ := c.Get("k")
-	if again.Model[0] != 10 {
-		t.Error("returned model aliased the cached map")
-	}
-}
-
 func TestVerifyAssignmentFullConjunction(t *testing.T) {
 	pc := clusterPC()
 	sol := map[symbolic.Var]int64{0: 3}

@@ -36,11 +36,12 @@ go test -count=1 -run 'TestSolveCache|TestSlicingOnClusters|TestRandomBugsReplay
 go test -count=1 -run 'TestPathKeyMatchesOracle|TestSolveMatchesOracle|TestSolveIndependentOfMapOrder|TestSolveWideDomain' ./internal/solver/
 go test -count=1 -run 'TestAuditCacheDeterministicAcrossJobs' ./internal/audit/
 # Parallel search gate: worker-count determinism, pool invariants, the
-# shared input registry and the shared solve cache under the race
-# detector, then a real CLI audit driving the pool end to end (exit 1 =
-# bugs found, the expected result).
+# shared input registry and the shared solve cache (its shards and the
+# LRU under them) under the race detector, then a real CLI audit
+# driving the pool end to end (exit 1 = bugs found, the expected result).
 go test -count=1 -race -run 'TestWorkers|TestParallel|TestFrontierDrop|TestNoPhantomFlips|TestRegistryConcurrentIntern' ./internal/concolic/
-go test -count=1 -race -run 'TestShardedCache' ./internal/solver/
+go test -count=1 -race -run '^TestCache(GetPut|ShardCount|LRUEviction|ShardEviction|UpdateInPlace|ModelIsCopied|Concurrent)$' ./internal/solver/
+go test -count=1 -race ./internal/lru/
 go test -count=1 -race -run 'TestAuditParallelWorkersFindSameBugs' ./internal/audit/
 # Serve gate (audit as a service): flood POST /jobs past the queue
 # depth of a race-instrumented `dart -serve` process, require honest
@@ -50,9 +51,9 @@ go test -count=1 -race -run 'TestAuditParallelWorkersFindSameBugs' ./internal/au
 # and the drain checkpoint under the race detector, plus the store-hit
 # path: a hit skips the compile, every envelope carries the stored
 # report bytes verbatim as its last field, and a spilled report that
-# cannot be embedded reads as a miss.
+# cannot be embedded reads as a miss, and the store's LRU bounds.
 go test -count=1 -run 'TestCLIServeGate|TestCLIServeJobService|TestCLIServeBindError|TestCLIServeStartupSIGTERM' .
-go test -count=1 -race -run 'TestPoisonedJobIsolation|TestCachedByteIdentical|TestDrainCheckpointsBacklog|TestHTTPQueueFull429|TestConcurrentSubmissions|TestSubmitHitSkipsCompile|TestEnvelopeEmbedsReportVerbatim|TestRestartRejectsNonJSONSpill' ./internal/serve/
+go test -count=1 -race -run 'TestPoisonedJobIsolation|TestCachedByteIdentical|TestDrainCheckpointsBacklog|TestHTTPQueueFull429|TestConcurrentSubmissions|TestSubmitHitSkipsCompile|TestEnvelopeEmbedsReportVerbatim|TestRestartRejectsNonJSONSpill|TestStoreLRUBounds' ./internal/serve/
 # Profiler gate (search cost accounting): per-site solver attribution
 # must be byte-identical at -workers 1/2/8 under the race detector (the
 # counter plane is deterministic; only nanos are wall clock), profiling
