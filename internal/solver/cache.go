@@ -70,7 +70,9 @@ func NewCache(capacity, workers int) *Cache {
 	return c
 }
 
-// shardOf hashes key with FNV-1a and masks into the shard table.
+// shardOf hashes key with FNV-1a and masks into the shard table.  A
+// one-shard cache skips the hash, which costs several times the lock
+// on a key of a hundred bytes or more.
 func (c *Cache) shardOf(key string) *cacheShard {
 	if c.mask == 0 {
 		return &c.shards[0]
