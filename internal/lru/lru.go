@@ -1,7 +1,7 @@
-// Package lru is the bounded least-recently-used map behind every memo
-// of the repository: the solver's solve cache and the job server's
-// result store.  A Cache is not safe for concurrent use; its callers
-// hold their own lock.
+// Package lru is the bounded least-recently-used map behind every
+// in-memory memo of the repository: the solver's solve cache and the
+// job server's result store.  A Cache is not safe for concurrent use;
+// its callers hold their own lock.
 package lru
 
 import "container/list"
