@@ -108,21 +108,33 @@ func TestCacheShardEviction(t *testing.T) {
 }
 
 func TestCacheUpdateInPlace(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		c := NewCache(workers, workers) // one entry per shard
-		c.Put("k", Sat, map[symbolic.Var]int64{0: 1})
-		if c.Put("k", Unsat, nil) {
-			t.Errorf("workers=%d: re-memoizing an existing key must not evict", workers)
-		}
-		if got, ok := c.Get("k"); !ok || got.Verdict != Unsat {
-			t.Errorf("workers=%d: updated entry = %+v, want Unsat", workers, got)
-		}
-		if c.Put("k", Sat, map[symbolic.Var]int64{1: 5}) {
-			t.Errorf("workers=%d: re-memoizing an existing key must not evict", workers)
-		}
-		if got, ok := c.Get("k"); !ok || got.Verdict != Sat || got.Model[1] != 5 {
-			t.Errorf("workers=%d: updated entry = %+v, want Sat with v1=5", workers, got)
-		}
+	c := NewCache(1, 1)
+	c.Put("k", Sat, map[symbolic.Var]int64{0: 1})
+	if c.Put("k", Unsat, nil) {
+		t.Error("re-memoizing an existing key must not evict")
+	}
+	got, ok := c.Get("k")
+	if !ok || got.Verdict != Unsat {
+		t.Errorf("updated entry = %+v, want Unsat", got)
+	}
+}
+
+func TestShardedCacheOverwrite(t *testing.T) {
+	c := NewCache(8, 2)
+	c.Put("k", Unsat, nil)
+	if evicted := c.Put("k", Sat, map[symbolic.Var]int64{1: 5}); evicted {
+		t.Error("overwriting a live key reported an eviction")
+	}
+	res, ok := c.Get("k")
+	if !ok || res.Verdict != Sat || res.Model[1] != 5 {
+		t.Fatalf("Get after overwrite = %+v, %v", res, ok)
+	}
+	held := 0
+	for i := range c.shards {
+		held += c.shards[i].lru.Len()
+	}
+	if held != 1 {
+		t.Errorf("%d entries held, want 1", held)
 	}
 }
 

@@ -40,7 +40,7 @@ go test -count=1 -run 'TestAuditCacheDeterministicAcrossJobs' ./internal/audit/
 # LRU under them) under the race detector, then a real CLI audit
 # driving the pool end to end (exit 1 = bugs found, the expected result).
 go test -count=1 -race -run 'TestWorkers|TestParallel|TestFrontierDrop|TestNoPhantomFlips|TestRegistryConcurrentIntern' ./internal/concolic/
-go test -count=1 -race -run '^TestCache(GetPut|ShardCount|LRUEviction|ShardEviction|UpdateInPlace|ModelIsCopied|Concurrent)$' ./internal/solver/
+go test -count=1 -race -run '^Test(Cache(GetPut|ShardCount|LRUEviction|ShardEviction|UpdateInPlace|ModelIsCopied|Concurrent)|ShardedCacheOverwrite)$' ./internal/solver/
 go test -count=1 -race ./internal/lru/
 go test -count=1 -race -run 'TestAuditParallelWorkersFindSameBugs' ./internal/audit/
 # Serve gate (audit as a service): flood POST /jobs past the queue
