@@ -1,6 +1,9 @@
 package concolic
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"dart/internal/machine"
 	"dart/internal/obs"
 	"dart/internal/solver"
@@ -59,34 +62,51 @@ type parentRun struct {
 	outcomes []bool
 	path     *solver.Path
 	im       *vector
+	// pending counts the run's flips that may still read path: each
+	// releases it once, when it is solved (processItem) or dropped to
+	// MaxFrontier (enqueued).  Flips a stopped search never pops keep
+	// it, and the garbage collector takes it.
+	pending atomic.Int32
+}
+
+// pathPool recycles the path indexes of parent runs whose flips have
+// all been released, so childItems re-indexes each run into arrays an
+// earlier run grew instead of allocating its own.
+var pathPool = sync.Pool{New: func() any { return new(solver.Path) }}
+
+// release ends one pending flip's use of the run's path.  The last
+// release returns the path to pathPool, and reports that it did.
+func (r *parentRun) release() bool {
+	if r.pending.Add(-1) != 0 {
+		return false
+	}
+	pathPool.Put(r.path)
+	r.path = nil
+	return true
 }
 
 // childItems builds the pending-flip children of a finished run: one
 // item per flippable conditional at index >= bound (the generational
 // expansion rule).  The children share one parentRun: the run's path
-// constraint and hint are indexed once for all of them, before any child
-// reaches the pool.
+// constraint and hint are indexed once for all of them, into a recycled
+// Path, before any child reaches the pool.
 //
 // The run's input vector passes to the children without a copy: the
 // engine writes e.im only while running, and it replaces e.im with a
 // copy (solveItem on Sat) before it runs again; only the root run, which
 // no child precedes, restarts on a cleared vector (frontierRoot).
 func (e *engine) childItems(branches []machine.BranchRec, bound int) []frontierItem {
-	npreds := 0
-	for _, rec := range branches {
-		if rec.HasPred {
-			npreds++
-		}
-	}
-	run := &parentRun{outcomes: make([]bool, len(branches)), path: solver.NewPath(npreds), im: e.im}
+	path := pathPool.Get().(*solver.Path)
+	path.Reset()
+	run := &parentRun{outcomes: make([]bool, len(branches)), path: path, im: e.im}
 	var kids []frontierItem
 	for j, rec := range branches {
 		run.outcomes[j] = rec.Taken
 		if !rec.HasPred {
 			continue
 		}
-		n := run.path.Len()
-		run.path.Add(rec.Pred)
+		n := path.Len()
+		path.Add(rec.Pred)
 		if j < bound {
 			continue
 		}
@@ -98,9 +118,12 @@ func (e *engine) childItems(branches []machine.BranchRec, bound int) []frontierI
 		}
 		kids = append(kids, frontierItem{parent: run, n: n, flipTaken: !rec.Taken, depth: j, site: rec.Site})
 	}
-	if len(kids) > 0 {
-		run.path.SetHint(run.im.get)
+	if len(kids) == 0 {
+		pathPool.Put(path)
+		return nil
 	}
+	path.SetHint(run.im.get)
+	run.pending.Store(int32(len(kids)))
 	return kids
 }
 
@@ -118,6 +141,7 @@ func (e *engine) enqueued(kids, dropped []frontierItem, qlen int) {
 	}
 	e.report.FrontierDropped += len(dropped)
 	for _, it := range dropped {
+		it.parent.release()
 		if it.site >= 0 {
 			e.exp.RecordDropped(it.site, it.flipTaken)
 		}
@@ -168,7 +192,9 @@ func (e *engine) processItem(item frontierItem) (kids []frontierItem, cont bool)
 	if !e.proceed() {
 		return nil, false
 	}
-	if !e.solveItem(item) {
+	solved := e.solveItem(item)
+	item.parent.release()
+	if !solved {
 		return nil, true
 	}
 	m, _, cont := e.step()

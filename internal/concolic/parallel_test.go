@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dart/internal/machine"
 	"dart/internal/obs"
 	"dart/internal/progs"
+	"dart/internal/solver"
 	"dart/internal/symbolic"
 	"dart/internal/types"
 )
@@ -207,9 +209,10 @@ func TestParallelMaxRunsBudget(t *testing.T) {
 
 // TestFrontierDropCounted: overflowing MaxFrontier is no longer silent —
 // the drop count reaches the report and clears Complete, sequential and
-// parallel alike.
+// parallel alike.  At 8 workers the dropped flips release their parent
+// runs' paths while siblings solve (run under -race).
 func TestFrontierDropCounted(t *testing.T) {
-	for _, workers := range []int{1, 2} {
+	for _, workers := range []int{1, 2, 8} {
 		rep, err := Run(compile(t, progs.SolverGate), Options{
 			Toplevel: "gate", MaxRuns: 2000, Seed: 7,
 			Strategy: BFS, Workers: workers, MaxFrontier: 2,
@@ -222,6 +225,45 @@ func TestFrontierDropCounted(t *testing.T) {
 		}
 		if rep.Complete {
 			t.Errorf("workers=%d: Complete=true after dropping flips", workers)
+		}
+	}
+}
+
+// TestParentRunRelease: a parent run with k pending flips returns its
+// path on the k-th release, never before and never twice, also when its
+// flips are released from k goroutines at once (run under -race).
+func TestParentRunRelease(t *testing.T) {
+	for _, k := range []int{1, 3} {
+		run := &parentRun{path: new(solver.Path)}
+		run.pending.Store(int32(k))
+		for i := 1; i < k; i++ {
+			if run.release() || run.path == nil {
+				t.Fatalf("k=%d: release %d returned the path", k, i)
+			}
+		}
+		if !run.release() || run.path != nil {
+			t.Fatalf("k=%d: release %d kept the path", k, k)
+		}
+	}
+	const k = 8
+	for rep := 0; rep < 50; rep++ {
+		run := &parentRun{path: new(solver.Path)}
+		run.pending.Store(k)
+		var wg sync.WaitGroup
+		var returned atomic.Int32
+		for i := 0; i < k; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_ = run.path.Len() // a flip reads the path before its release
+				if run.release() {
+					returned.Add(1)
+				}
+			}()
+		}
+		wg.Wait()
+		if n := returned.Load(); n != 1 || run.path != nil {
+			t.Fatalf("rep %d: %d of %d concurrent releases returned the path", rep, n, k)
 		}
 	}
 }

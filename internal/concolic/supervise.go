@@ -146,7 +146,9 @@ func (e *engine) noteFault(f *InternalError) bool {
 //     parent-run values IM + IM' preserves.
 //  2. Answer the slice through one memo chain: the in-memory LRU (keyed
 //     by CacheKey's bytes, which the path renders from its index and
-//     hint), then the persistent disk layer (keyed by PortableKey, which
+//     hint into the engine's scratch, and which a hit looks up without
+//     a copy; its model is the stored map, which the engine only
+//     reads), then the persistent disk layer (keyed by PortableKey, which
 //     renders stable input names and can therefore outlive the search),
 //     then the solver, whose slice-level result fills both layers (a
 //     disk hit is promoted into the LRU).  Either key renders the exact
@@ -232,7 +234,10 @@ func (e *engine) solveIsolated(path *solver.Path, n int) (out solveOutcome) {
 	}
 	out.sliced = pruned
 
-	var key, pkey string
+	// key is the LRU key, rendered into e.scratch: valid until the
+	// scratch renders another.
+	var key []byte
+	var pkey string
 	answered := false
 	useCache := e.cache != nil && e.report.SolverCalls >= solveCacheWarmup
 	if useCache {

@@ -31,9 +31,17 @@ func New[V any](capacity int) *Cache[V] {
 }
 
 // Get returns the value under key and makes key the most recently used.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	el, ok := c.items[key]
-	if !ok {
+func (c *Cache[V]) Get(key string) (V, bool) { return c.use(c.items[key]) }
+
+// GetBytes is Get for a key held as bytes.  The map is indexed with
+// string(key), which Go compiles without copying the bytes, so a lookup
+// allocates nothing and the map's own comparison checks the whole key.
+func (c *Cache[V]) GetBytes(key []byte) (V, bool) { return c.use(c.items[string(key)]) }
+
+// use returns the value of el, a held key's element or nil for a miss,
+// and makes it the most recently used.
+func (c *Cache[V]) use(el *list.Element) (V, bool) {
+	if el == nil {
 		var zero V
 		return zero, false
 	}

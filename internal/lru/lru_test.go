@@ -79,3 +79,19 @@ func TestCapacityAtLeastOne(t *testing.T) {
 		t.Errorf("Len = %d, b held = %v; want 1, true", c.Len(), ok)
 	}
 }
+
+func TestGetBytesIsGet(t *testing.T) {
+	c := New[int](2)
+	c.Put("a", 1)
+	c.Put("b", 2)
+	if v, ok := c.GetBytes([]byte("a")); !ok || v != 1 { // b is now least recent
+		t.Fatalf("GetBytes(a) = %d, %v; want 1, true", v, ok)
+	}
+	if _, ok := c.GetBytes([]byte("c")); ok {
+		t.Error("GetBytes hit a key never put")
+	}
+	c.Put("c", 3)
+	if _, ok := c.Get("b"); ok {
+		t.Error("b must be evicted: GetBytes refreshed a")
+	}
+}

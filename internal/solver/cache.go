@@ -21,24 +21,32 @@ const DefaultCacheCap = 1024
 type CachedSolve struct {
 	Verdict Verdict
 	// Model is the satisfying assignment (nil unless Verdict is Sat).
+	// Every hit on the entry returns this one map: it is read-only.
 	Model map[symbolic.Var]int64
 }
 
 // Cache is the solve cache: a bounded LRU memo of sliced solves, keyed
-// by CacheKey.  Because the key renders the exact solver input — the
-// predicate sequence plus the hint values the solve depends on — a hit
-// is identical to re-running the solver: caching can change how fast a
-// search runs, never what it finds.
+// by CacheKey's bytes.  Because the key encodes the exact solver input —
+// the predicate sequence plus the hint values the solve depends on — a
+// hit is identical to re-running the solver: caching can change how
+// fast a search runs, never what it finds.
+//
+// A hit allocates nothing.  Get looks a key up by the bytes the caller
+// rendered (Path.Key) without turning them into a string, and the
+// map's own comparison checks the whole key; it returns the stored
+// model, shared by every hit and read-only.  Put copies the key and the
+// model, so a caller may reuse its buffer and its map.
 //
 // One search owns one cache, shared by all of its workers.  The key
-// space is split over power-of-two shards by FNV-1a hash, each shard an
-// LRU behind its own mutex, so workers solving unrelated constraints
-// never contend on one lock; one worker gets one shard holding the
-// whole capacity.  Sharing is sound because keys render against a
-// variable numbering that is global to the search (every worker interns
-// inputs in one registry), so a hit — whoever stored it — returns
-// precisely what a fresh solve would.  The cache keeps no tallies: the
-// engine books hits, misses and evictions from Get's and Put's results.
+// space is split over power-of-two shards by an FNV-1a hash of the key
+// bytes, each shard an LRU behind its own mutex, so workers solving
+// unrelated constraints never contend on one lock; one worker gets one
+// shard holding the whole capacity.  Sharing is sound because keys
+// encode a variable numbering that is global to the search (every
+// worker interns inputs in one registry), so a hit — whoever stored it
+// — returns precisely what a fresh solve would.  The cache keeps no
+// tallies: the engine books hits, misses and evictions from Get's and
+// Put's results.
 type Cache struct {
 	shards []cacheShard
 	mask   uint32
@@ -71,40 +79,39 @@ func NewCache(capacity, workers int) *Cache {
 }
 
 // shardOf hashes key with FNV-1a and masks into the shard table.  A
-// one-shard cache skips the hash, which costs several times the lock
-// on a key of a hundred bytes or more.
-func (c *Cache) shardOf(key string) *cacheShard {
+// one-shard cache skips the hash.  FNV-1a's low bits mix least (its
+// lowest is the parity of the bytes' lowest), which leaves binary keys
+// unevenly split, so the high half is folded in before the mask.
+func (c *Cache) shardOf(key []byte) *cacheShard {
 	if c.mask == 0 {
 		return &c.shards[0]
 	}
 	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
+	for _, b := range key {
+		h ^= uint32(b)
 		h *= 16777619
 	}
-	return &c.shards[h&c.mask]
+	return &c.shards[(h>>16^h)&c.mask]
 }
 
-// Get returns the memoized result for key.  The model is copied, so
-// callers may complete or consume it freely; the copy is made outside
-// the lock, since a stored model is never written after Put.
-func (c *Cache) Get(key string) (CachedSolve, bool) {
+// Get returns the memoized result for key.  The model is the stored
+// map itself, which callers only read.
+func (c *Cache) Get(key []byte) (CachedSolve, bool) {
 	sh := c.shardOf(key)
 	sh.mu.Lock()
-	res, ok := sh.lru.Get(key)
+	res, ok := sh.lru.GetBytes(key)
 	sh.mu.Unlock()
-	res.Model = maps.Clone(res.Model)
 	return res, ok
 }
 
 // Put memoizes the result for key, evicting its shard's least recently
 // used entry when the shard is full; it reports whether an eviction
-// happened.  The model is copied at store time.
-func (c *Cache) Put(key string, verdict Verdict, model map[symbolic.Var]int64) (evicted bool) {
-	res := CachedSolve{Verdict: verdict, Model: maps.Clone(model)}
+// happened.  The key and the model are copied at store time.
+func (c *Cache) Put(key []byte, verdict Verdict, model map[symbolic.Var]int64) (evicted bool) {
+	k, res := string(key), CachedSolve{Verdict: verdict, Model: maps.Clone(model)}
 	sh := c.shardOf(key)
 	sh.mu.Lock()
-	evicted = sh.lru.Put(key, res)
+	evicted = sh.lru.Put(k, res)
 	sh.mu.Unlock()
 	return evicted
 }

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,7 +14,7 @@ func TestCacheGetPut(t *testing.T) {
 	c := NewCache(64, 4)
 	hits, misses := 0, 0
 	get := func(key string) (CachedSolve, bool) {
-		res, ok := c.Get(key)
+		res, ok := c.Get([]byte(key))
 		if ok {
 			hits++
 		} else {
@@ -24,11 +25,11 @@ func TestCacheGetPut(t *testing.T) {
 	if _, ok := get("k1"); ok {
 		t.Fatal("hit on an empty cache")
 	}
-	c.Put("k1", Sat, map[symbolic.Var]int64{0: 42})
+	c.Put([]byte("k1"), Sat, map[symbolic.Var]int64{0: 42})
 	if res, ok := get("k1"); !ok || res.Verdict != Sat || res.Model[0] != 42 {
 		t.Fatalf("Get(k1) = %+v, %v", res, ok)
 	}
-	c.Put("k2", Unsat, nil)
+	c.Put([]byte("k2"), Unsat, nil)
 	if res, ok := get("k2"); !ok || res.Verdict != Unsat || res.Model != nil {
 		t.Fatalf("Get(k2) = %+v, %v", res, ok)
 	}
@@ -51,7 +52,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(2, 1)
 	evictions := 0
 	put := func(key string, v Verdict, m map[symbolic.Var]int64) bool {
-		evicted := c.Put(key, v, m)
+		evicted := c.Put([]byte(key), v, m)
 		if evicted {
 			evictions++
 		}
@@ -61,15 +62,15 @@ func TestCacheLRUEviction(t *testing.T) {
 	if put("k2", Unsat, nil) {
 		t.Error("filling to capacity must not evict")
 	}
-	c.Get("k1") // k2 becomes least recently used
+	c.Get([]byte("k1")) // k2 becomes least recently used
 	if !put("k3", Sat, nil) {
 		t.Error("inserting past capacity must evict")
 	}
-	if _, ok := c.Get("k2"); ok {
+	if _, ok := c.Get([]byte("k2")); ok {
 		t.Error("the LRU entry (k2) should have been evicted")
 	}
 	for _, k := range []string{"k1", "k3"} {
-		if _, ok := c.Get(k); !ok {
+		if _, ok := c.Get([]byte(k)); !ok {
 			t.Errorf("%s must survive", k)
 		}
 	}
@@ -87,12 +88,12 @@ func TestCacheShardEviction(t *testing.T) {
 	const puts = 32
 	evictions, held := 0, 0
 	for i := 0; i < puts; i++ {
-		if c.Put(fmt.Sprintf("key-%d", i), Unsat, nil) {
+		if c.Put([]byte(fmt.Sprintf("key-%d", i)), Unsat, nil) {
 			evictions++
 		}
 	}
 	for i := 0; i < puts; i++ {
-		if _, ok := c.Get(fmt.Sprintf("key-%d", i)); ok {
+		if _, ok := c.Get([]byte(fmt.Sprintf("key-%d", i))); ok {
 			held++
 		}
 	}
@@ -109,11 +110,11 @@ func TestCacheShardEviction(t *testing.T) {
 
 func TestCacheUpdateInPlace(t *testing.T) {
 	c := NewCache(1, 1)
-	c.Put("k", Sat, map[symbolic.Var]int64{0: 1})
-	if c.Put("k", Unsat, nil) {
+	c.Put([]byte("k"), Sat, map[symbolic.Var]int64{0: 1})
+	if c.Put([]byte("k"), Unsat, nil) {
 		t.Error("re-memoizing an existing key must not evict")
 	}
-	got, ok := c.Get("k")
+	got, ok := c.Get([]byte("k"))
 	if !ok || got.Verdict != Unsat {
 		t.Errorf("updated entry = %+v, want Unsat", got)
 	}
@@ -121,11 +122,11 @@ func TestCacheUpdateInPlace(t *testing.T) {
 
 func TestShardedCacheOverwrite(t *testing.T) {
 	c := NewCache(8, 2)
-	c.Put("k", Unsat, nil)
-	if evicted := c.Put("k", Sat, map[symbolic.Var]int64{1: 5}); evicted {
+	c.Put([]byte("k"), Unsat, nil)
+	if evicted := c.Put([]byte("k"), Sat, map[symbolic.Var]int64{1: 5}); evicted {
 		t.Error("overwriting a live key reported an eviction")
 	}
-	res, ok := c.Get("k")
+	res, ok := c.Get([]byte("k"))
 	if !ok || res.Verdict != Sat || res.Model[1] != 5 {
 		t.Fatalf("Get after overwrite = %+v, %v", res, ok)
 	}
@@ -138,27 +139,59 @@ func TestShardedCacheOverwrite(t *testing.T) {
 	}
 }
 
+// TestCacheModelIsCopied: Put stores its own copy of the model, so a
+// caller's later write does not reach the cache; Get hands back that
+// stored map itself, the same one on every hit, with its values.
 func TestCacheModelIsCopied(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		c := NewCache(4, workers)
 		model := map[symbolic.Var]int64{0: 10}
-		c.Put("k", Sat, model)
+		c.Put([]byte("k"), Sat, model)
 		model[0] = 99 // caller mutates after store
-		got, _ := c.Get("k")
+		got, _ := c.Get([]byte("k"))
 		if got.Model[0] != 10 {
 			t.Errorf("workers=%d: stored model aliased the caller's map", workers)
 		}
-		got.Model[0] = 55 // consumer mutates the returned copy
-		again, _ := c.Get("k")
-		if again.Model[0] != 10 {
-			t.Errorf("workers=%d: returned model aliased the cached map", workers)
+		again, _ := c.Get([]byte("k"))
+		if len(again.Model) != 1 || again.Model[0] != 10 {
+			t.Errorf("workers=%d: second Get model = %v, want map[0:10]", workers, again.Model)
+		}
+		if reflect.ValueOf(again.Model).UnsafePointer() != reflect.ValueOf(got.Model).UnsafePointer() {
+			t.Errorf("workers=%d: Gets returned different maps, want the stored one", workers)
+		}
+	}
+}
+
+// TestCacheHitAllocs: a warm hit — slicing a flip of a built Path,
+// rendering its key and looking it up — allocates nothing, at one shard
+// and at two.
+func TestCacheHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates")
+	}
+	p, n := flipPath(clusterPC())
+	p.SetHint(hintFrom(map[symbolic.Var]int64{0: 3, 1: 1, 2: 4}))
+	for _, workers := range []int{1, 2} {
+		c := NewCache(64, workers)
+		var s PathScratch
+		p.Slice(n, &s)
+		c.Put(p.Key(&s), Sat, map[symbolic.Var]int64{0: 5})
+		allocs := testing.AllocsPerRun(100, func() {
+			p.Slice(n, &s)
+			if res, ok := c.Get(p.Key(&s)); !ok || res.Model[0] != 5 {
+				t.Fatalf("workers=%d: held key missed: %+v, %v", workers, res, ok)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("workers=%d: %v allocations per hit, want 0", workers, allocs)
 		}
 	}
 }
 
 // TestCacheConcurrent hammers one cache from many goroutines with
 // overlapping key sets; run under -race this is the data-race gate for
-// the shard locking and the model copies made outside it.
+// the shard locking and for the shared models every hit reads outside
+// it.
 func TestCacheConcurrent(t *testing.T) {
 	c := NewCache(128, 8)
 	var wg sync.WaitGroup
@@ -168,13 +201,12 @@ func TestCacheConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				key := fmt.Sprintf("key-%d", i%64)
+				key := []byte(fmt.Sprintf("key-%d", i%64))
 				if res, ok := c.Get(key); ok {
 					hits.Add(1)
-					if res.Verdict != Sat || res.Model[0] != int64(i%64) {
+					if res.Verdict != Sat || len(res.Model) != 1 || res.Model[0] != int64(i%64) {
 						t.Errorf("goroutine %d: key %s has %+v", g, key, res)
 					}
-					res.Model[0] = -1 // the copy is the caller's to write
 					continue
 				}
 				c.Put(key, Sat, map[symbolic.Var]int64{0: int64(i % 64)})

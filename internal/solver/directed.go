@@ -13,10 +13,14 @@
 //     other components are satisfied for free: their predicates were
 //     observed true on the parent run, and IM + IM' preserves the
 //     concrete values of every variable the solver does not touch.
-//   - Solve memoization.  Key each sliced solve on an exact rendering
+//   - Solve memoization.  Key each sliced solve on an exact encoding
 //     of the solver's input — the slice's predicate sequence plus the
-//     hint values it depends on — and reuse the verdict and model when
-//     the identical solve recurs.  Because key equality implies the
+//     hint values it depends on, as self-delimiting binary rendered into
+//     the caller's scratch — and reuse the verdict and model when the
+//     identical solve recurs.  A lookup indexes the memo by those bytes
+//     without copying them and hands back the stored model itself,
+//     shared and read-only, so a hit allocates nothing; only a store
+//     copies the key and the model.  Because key equality implies the
 //     solver would see the byte-identical input, a cache hit is
 //     indistinguishable from re-running the solver: caching can change
 //     how fast a search runs, never what it finds.
@@ -44,9 +48,11 @@ package solver
 import "dart/internal/symbolic"
 
 // CacheKey is the identity of one sliced solve: the slice's predicates
-// rendered in solve order, plus the hint values of every variable they
-// mention.  The key deliberately encodes the predicate *sequence*, not
-// just the set — key equality therefore means the solver would see the
+// in solve order, plus the hint values of every variable they mention,
+// in the self-delimiting binary encoding Path.Key renders (no decimal
+// digits: relations, constants, coefficients and hints are varints).
+// The key deliberately encodes the predicate *sequence*, not just the
+// set — key equality therefore means the solver would see the
 // byte-identical input (same predicates, same order, same hint), so a
 // cache hit returns exactly what a fresh solve would, and the
 // determinism of cache-on versus cache-off searches reduces to the
@@ -56,7 +62,7 @@ import "dart/internal/symbolic"
 //
 // CacheKey indexes slice into a Path, so its variables must be
 // non-negative and dense; the engines render the same bytes from their
-// run's Path directly (Path.Key).
+// run's Path directly (Path.Key) and look them up without a string.
 func CacheKey(slice []symbolic.Pred, hint map[symbolic.Var]int64) string {
 	p := NewPath(len(slice))
 	idx := make([]int32, len(slice))
@@ -68,5 +74,5 @@ func CacheKey(slice []symbolic.Pred, hint map[symbolic.Var]int64) string {
 		x, ok := hint[v]
 		return x, ok
 	})
-	return p.render(slice, idx, new(PathScratch))
+	return string(p.render(slice, idx, new(PathScratch)))
 }

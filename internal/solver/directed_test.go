@@ -1,6 +1,8 @@
 package solver
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"strconv"
@@ -188,9 +190,9 @@ func hintFrom(hint map[symbolic.Var]int64) func(symbolic.Var) (int64, bool) {
 	}
 }
 
-// oracleKey is the map-based CacheKey rendering the Path renderer
-// replaced, kept as the differential oracle: every predicate's
-// coefficient map walked and sorted on every call.
+// oracleKey is the map-based decimal CacheKey rendering the binary
+// encoding replaced, kept as the reference for key identity: two solves
+// must share a key exactly when their oracleKeys are equal.
 func oracleKey(slice []symbolic.Pred, hint map[symbolic.Var]int64) string {
 	var b strings.Builder
 	var vs []symbolic.Var // every slice variable, with repeats
@@ -259,6 +261,48 @@ func predKey(p symbolic.Pred) string {
 	var b strings.Builder
 	appendPredKey(&b, p, nil)
 	return b.String()
+}
+
+// mapKey renders the binary key encoding (Path.render) from the
+// coefficient and hint maps instead of the Path's flat arrays: each
+// predicate's map walked and sorted, the slice's variables collected,
+// sorted and looked up in the hint.
+func mapKey(slice []symbolic.Pred, hint map[symbolic.Var]int64) []byte {
+	b := binary.AppendUvarint(nil, uint64(len(slice)))
+	var vs []symbolic.Var // every slice variable, with repeats
+	for _, p := range slice {
+		b = binary.AppendVarint(b, int64(p.Rel))
+		if p.L == nil {
+			b = append(b, 0)
+			continue
+		}
+		start := len(vs)
+		for v, c := range p.L.Coeffs {
+			if c != 0 {
+				vs = append(vs, v)
+			}
+		}
+		own := vs[start:]
+		sortVars(own)
+		b = binary.AppendUvarint(b, uint64(len(own))+1)
+		b = binary.AppendVarint(b, p.L.Const)
+		for _, v := range own {
+			b = binary.AppendUvarint(b, uint64(v))
+			b = binary.AppendVarint(b, p.L.Coeffs[v])
+		}
+	}
+	sortVars(vs)
+	for i, v := range vs {
+		if i > 0 && vs[i-1] == v {
+			continue
+		}
+		if h, ok := hint[v]; ok {
+			b = binary.AppendVarint(append(b, 1), h)
+		} else {
+			b = append(b, 0)
+		}
+	}
+	return b
 }
 
 // oracleSlice is the map-based independence slicer Path.Slice replaced,
@@ -471,9 +515,9 @@ func TestPathMatchesOracle(t *testing.T) {
 
 // TestPathKeyMatchesOracle: for every flip of the random predicate
 // lists, the key Path renders from its index (and CacheKey, which
-// indexes its slice) equals the map-based oracle rendering.  The lists
-// carry nil forms, constant targets and explicit zero coefficients, and
-// the hints leave variables absent.
+// indexes its slice) equals the map-based rendering of the same
+// encoding.  The lists carry nil forms, constant targets and explicit
+// zero coefficients, and the hints leave variables absent.
 func TestPathKeyMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	var s PathScratch // one scratch across every path, as an engine keeps it
@@ -489,12 +533,12 @@ func TestPathKeyMatchesOracle(t *testing.T) {
 		p.SetHint(hintFrom(hint))
 		for n := range preds {
 			slice, _ := p.Slice(n, &s)
-			want := oracleKey(slice, hint)
-			if got := p.Key(&s); got != want {
-				t.Fatalf("iter %d n=%d: Key = %q, oracle %q; preds %v hint %v", iter, n, got, want, preds, hint)
+			want := mapKey(slice, hint)
+			if got := p.Key(&s); !bytes.Equal(got, want) {
+				t.Fatalf("iter %d n=%d: Key = %x, map rendering %x; preds %v hint %v", iter, n, got, want, preds, hint)
 			}
-			if got := CacheKey(slice, hint); got != want {
-				t.Fatalf("iter %d n=%d: CacheKey = %q, oracle %q", iter, n, got, want)
+			if got := CacheKey(slice, hint); got != string(want) {
+				t.Fatalf("iter %d n=%d: CacheKey = %x, map rendering %x", iter, n, got, want)
 			}
 			for _, q := range slice {
 				if q.L == nil {
@@ -523,6 +567,101 @@ func TestPathKeyMatchesOracle(t *testing.T) {
 	for _, c := range []string{"nil form", "zero coefficient", "absent hint", "constant target"} {
 		if seen[c] == 0 {
 			t.Errorf("no keyed slice had a %s", c)
+		}
+	}
+}
+
+// TestKeyIdentityMatchesOracle: two (slice, hint) pairs share a binary
+// key exactly when they share the decimal oracle key.  The pairs come
+// from a small alphabet, so equal pairs recur from separate draws (fresh
+// forms, hints that differ only off the slice) and unequal ones differ
+// in one field: shared prefixes, repeated constants, nil forms,
+// unhinted variables, MinInt64 and MaxInt64 constants, coefficients and
+// hints, the varint length boundaries (±64, variables 127 and 128) and
+// variables past 128.
+func TestKeyIdentityMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	vars := []symbolic.Var{0, 1, 127, 128, 300}
+	nums := []int64{0, 1, -1, 63, 64, -64, -65, math.MinInt64, math.MaxInt64}
+	draw := func(r *rand.Rand) symbolic.Pred {
+		rel := symbolic.Rel(r.Intn(int(symbolic.GE) + 1))
+		if r.Intn(8) == 0 {
+			return symbolic.Pred{Rel: rel} // outside the theory
+		}
+		l := &symbolic.Lin{Const: nums[r.Intn(len(nums))], Coeffs: map[symbolic.Var]int64{}}
+		for terms := r.Intn(3); terms > 0; terms-- {
+			l.Coeffs[vars[r.Intn(len(vars))]] = nums[r.Intn(len(nums))] // zero included
+		}
+		return symbolic.Pred{L: l, Rel: rel}
+	}
+	keyOf := map[string]string{} // oracle key -> binary key
+	oracleOf := map[string]string{}
+	pairs, repeats := 0, 0
+	seen := map[string]int{}
+	for iter := 0; iter < 20000; iter++ {
+		var slice []symbolic.Pred
+		if r.Intn(2) == 0 {
+			// One of three shared prefixes, re-drawn from its own seed so
+			// equal forms are separate objects.
+			pr := rand.New(rand.NewSource(11 + r.Int63n(3)))
+			for k := 1 + pr.Intn(2); k > 0; k-- {
+				slice = append(slice, draw(pr))
+			}
+		}
+		for k := 1 + r.Intn(2); k > 0; k-- {
+			slice = append(slice, draw(r))
+		}
+		hint := map[symbolic.Var]int64{}
+		for _, v := range vars {
+			if r.Intn(3) > 0 {
+				hint[v] = []int64{0, 7, math.MinInt64, math.MaxInt64}[r.Intn(4)]
+			}
+		}
+		o, k := oracleKey(slice, hint), CacheKey(slice, hint)
+		if prev, ok := keyOf[o]; ok {
+			repeats++
+			if prev != k {
+				t.Fatalf("equal oracle keys %q, binary keys %x and %x", o, prev, k)
+			}
+		} else {
+			pairs++
+		}
+		if prev, ok := oracleOf[k]; ok && prev != o {
+			t.Fatalf("binary key %x shared by oracle keys %q and %q", k, prev, o)
+		}
+		keyOf[o], oracleOf[k] = k, o
+		for _, q := range slice {
+			if q.L == nil {
+				seen["nil form"]++
+				continue
+			}
+			if q.L.Const == math.MinInt64 || q.L.Const == math.MaxInt64 {
+				seen["extreme constant"]++
+			}
+			for v, c := range q.L.Coeffs {
+				if c == math.MinInt64 || c == math.MaxInt64 {
+					seen["extreme coefficient"]++
+				}
+				if c == 0 {
+					continue
+				}
+				if v >= 128 {
+					seen["variable past 127"]++
+				}
+				if h, ok := hint[v]; !ok {
+					seen["unhinted variable"]++
+				} else if h == math.MinInt64 || h == math.MaxInt64 {
+					seen["extreme hint"]++
+				}
+			}
+		}
+	}
+	if pairs < 1000 || repeats < 1000 {
+		t.Errorf("%d distinct and %d repeated pairs; the alphabet must give many of both", pairs, repeats)
+	}
+	for _, c := range []string{"nil form", "extreme constant", "extreme coefficient", "variable past 127", "unhinted variable", "extreme hint"} {
+		if seen[c] == 0 {
+			t.Errorf("no pair had a %s", c)
 		}
 	}
 }
@@ -606,7 +745,7 @@ func TestPathConcurrentSiblings(t *testing.T) {
 	for n := range preds {
 		pc := flipOf(preds, n)
 		sl, pr := oracleSlice(pc)
-		want[n] = answer{sl, pr, oracleVerify(pc, mixedMeta, sol, hint), oracleKey(sl, hint)}
+		want[n] = answer{sl, pr, oracleVerify(pc, mixedMeta, sol, hint), string(mapKey(sl, hint))}
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -625,8 +764,8 @@ func TestPathConcurrentSiblings(t *testing.T) {
 						t.Errorf("worker %d n=%d: slice differs from the oracle", w, n)
 						return
 					}
-					if p.Key(&s) != want[n].key {
-						t.Errorf("worker %d n=%d: key differs from the oracle", w, n)
+					if string(p.Key(&s)) != want[n].key {
+						t.Errorf("worker %d n=%d: key differs from the map rendering", w, n)
 						return
 					}
 					if p.Verify(n, mixedMeta, sol, &s) != want[n].ok {

@@ -1,0 +1,5 @@
+//go:build !race
+
+package solver
+
+const raceEnabled = false

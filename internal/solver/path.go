@@ -1,7 +1,7 @@
 package solver
 
 import (
-	"strconv"
+	"encoding/binary"
 
 	"dart/internal/symbolic"
 )
@@ -47,7 +47,7 @@ type PathScratch struct {
 	alloc  []int64         // a pointer predicate's allocated-var coefficients
 	out    []symbolic.Pred // the returned slice
 	idx    []int32         // out's predicates, by index on the path
-	key    []byte          // the key being rendered
+	key    []byte          // the last key rendered
 	kvars  []int32         // the key's variables
 }
 
@@ -212,43 +212,43 @@ func (p *Path) Slice(n int, s *PathScratch) (slice []symbolic.Pred, pruned int) 
 	return s.out, n + 1 - len(s.out)
 }
 
-// Key renders the solve-cache key (CacheKey's bytes) of the slice the
-// last Slice call returned in s, from the flat arrays and the hint.
-func (p *Path) Key(s *PathScratch) string {
+// Key renders the solve-cache key of the slice the last Slice call
+// returned in s (CacheKey's bytes) from the flat arrays and the hint.
+// The bytes live in s and are valid until s renders the next key.
+func (p *Path) Key(s *PathScratch) []byte {
 	return p.render(s.out, s.idx, s)
 }
 
-// render is CacheKey's one renderer: slice[k] is path predicate idx[k],
-// up to its relation.  Each predicate renders as its relation code, its
-// constant, then var:coeff pairs in ascending variable order (zero
-// coefficients skipped), and '&'; then come '#' and the slice's
-// variables in ascending order, each with its hint value or '?'.
-func (p *Path) render(slice []symbolic.Pred, idx []int32, s *PathScratch) string {
+// render is CacheKey's one encoder: slice[k] is path predicate idx[k],
+// up to its relation.  The encoding is self-delimiting, so equal bytes
+// mean an equal slice and hint: the predicate count; per predicate its
+// relation, then 0 for a form outside the theory, or its term count
+// plus one, its constant and its (variable, coefficient) pairs in
+// ascending variable order (zero coefficients skipped); then, for each
+// of the slice's variables in ascending order, 0 when it has no hint or
+// 1 and its hint value.  Counts and variables are unsigned varints;
+// relations, constants, coefficients and hints are zig-zag varints.
+func (p *Path) render(slice []symbolic.Pred, idx []int32, s *PathScratch) []byte {
 	s.grow(p.nvars)
-	b, kv := s.key[:0], s.kvars[:0]
+	b, kv := binary.AppendUvarint(s.key[:0], uint64(len(slice))), s.kvars[:0]
 	for k, q := range slice {
-		b = append(b, 'r')
-		b = strconv.AppendInt(b, int64(q.Rel), 10)
+		b = binary.AppendVarint(b, int64(q.Rel))
 		if q.L == nil {
-			b = append(b, "|<fallback>&"...)
+			b = append(b, 0)
 			continue
 		}
-		b = append(b, '|')
-		b = strconv.AppendInt(b, q.L.Const, 10)
 		vs, cs := p.terms(int(idx[k]))
+		b = binary.AppendUvarint(b, uint64(len(vs))+1)
+		b = binary.AppendVarint(b, q.L.Const)
 		for t, v := range vs {
-			b = append(b, '|')
-			b = strconv.AppendInt(b, int64(v), 10)
-			b = append(b, ':')
-			b = strconv.AppendInt(b, cs[t], 10)
+			b = binary.AppendUvarint(b, uint64(v))
+			b = binary.AppendVarint(b, cs[t])
 			if s.kind[v] != keyVar {
 				s.kind[v] = keyVar
 				kv = append(kv, v)
 			}
 		}
-		b = append(b, '&')
 	}
-	b = append(b, '#')
 	// Insertion sort: a slice's variables are few.
 	for i := 1; i < len(kv); i++ {
 		for j := i; j > 0 && kv[j] < kv[j-1]; j-- {
@@ -257,17 +257,14 @@ func (p *Path) render(slice []symbolic.Pred, idx []int32, s *PathScratch) string
 	}
 	for _, v := range kv {
 		s.kind[v] = 0
-		b = strconv.AppendInt(b, int64(v), 10)
-		b = append(b, '=')
 		if h, ok := p.hintOf(v); ok {
-			b = strconv.AppendInt(b, h, 10)
+			b = binary.AppendVarint(append(b, 1), h)
 		} else {
-			b = append(b, '?')
+			b = append(b, 0)
 		}
-		b = append(b, ';')
 	}
 	s.key, s.kvars = b, kv
-	return string(b)
+	return b
 }
 
 // Hint returns the hint of the slice the last Slice call returned in s

@@ -31,15 +31,18 @@ go test -count=1 -run 'TestCLIServeEndpoints' .
 go test -count=1 -run 'TestServerLiveAudit' ./internal/ops/
 # Solver fast-path gate: slicing + caching must never change what a
 # search finds — cache on/off/tiny report equality under both engines,
-# jobs-independence with the cache on, and replayable random-mode bugs.
+# jobs-independence with the cache on, and replayable random-mode bugs;
+# the binary solve-cache key must tell solves apart exactly as the
+# decimal oracle rendering does.
 go test -count=1 -run 'TestSolveCache|TestSlicingOnClusters|TestRandomBugsReplay|TestLyingDiskSatVerified' ./internal/concolic/
-go test -count=1 -run 'TestPathKeyMatchesOracle|TestSolveMatchesOracle|TestSolveIndependentOfMapOrder|TestSolveWideDomain' ./internal/solver/
+go test -count=1 -run 'TestPathKeyMatchesOracle|TestKeyIdentityMatchesOracle|TestSolveMatchesOracle|TestSolveIndependentOfMapOrder|TestSolveWideDomain' ./internal/solver/
 go test -count=1 -run 'TestAuditCacheDeterministicAcrossJobs' ./internal/audit/
 # Parallel search gate: worker-count determinism, pool invariants, the
+# recycling of a parent run's path once its last flip is released, the
 # shared input registry and the shared solve cache (its shards and the
 # LRU under them) under the race detector, then a real CLI audit
 # driving the pool end to end (exit 1 = bugs found, the expected result).
-go test -count=1 -race -run 'TestWorkers|TestParallel|TestFrontierDrop|TestNoPhantomFlips|TestRegistryConcurrentIntern' ./internal/concolic/
+go test -count=1 -race -run 'TestWorkers|TestParallel|TestFrontierDrop|TestParentRunRelease|TestNoPhantomFlips|TestRegistryConcurrentIntern' ./internal/concolic/
 go test -count=1 -race -run '^Test(Cache(GetPut|ShardCount|LRUEviction|ShardEviction|UpdateInPlace|ModelIsCopied|Concurrent)|ShardedCacheOverwrite)$' ./internal/solver/
 go test -count=1 -race ./internal/lru/
 go test -count=1 -race -run 'TestAuditParallelWorkersFindSameBugs' ./internal/audit/
@@ -60,13 +63,15 @@ go test -count=1 -race -run 'TestPoisonedJobIsolation|TestCachedByteIdentical|Te
 # must stay off unless asked for, /profile + flame + per-job envelope
 # profiles must serve real data, ring drops must be visible as seq gaps
 # plus dart_events_dropped_total, the live event fan-out must stay exact
-# under concurrent producers and allocate nothing per event once warm,
+# under concurrent producers and allocate nothing per event once warm
+# (as a warm solve-cache hit must allocate nothing: slice, key, lookup),
 # and long-poll/SSE job completion must block, stream, and shed load
 # honestly.
 go test -count=1 -race -run 'TestProfileDeterministicAcrossWorkers|TestProfileOffByDefault|TestProfilePhases|TestProfileCacheAttribution' ./internal/concolic/
 go test -count=1 -run 'TestProfile|TestLiveProfile|TestMetricsFold|TestTreeFlame|TestTreeInterleavedStreams' ./internal/obs/
 go test -count=1 -race -run 'TestRingSeqGapsMatchDrops|TestEventsFollowTrailingDrops|TestServerProfileEndpoint|TestSinkConcurrent|TestRingConcurrentAccounting' ./internal/ops/
 go test -count=1 -run 'TestSinkSteadyStateAllocs' ./internal/ops/
+go test -count=1 -run 'TestCacheHitAllocs' ./internal/solver/
 go test -count=1 -race -run 'TestJobWait|TestJobSSEStream|TestCachedJobHasNoProfile|TestJobProfileFeedsServerProfile' ./internal/serve/
 # CLI end to end: -profile must print both cost tables and -json must
 # carry the structured profile object.
