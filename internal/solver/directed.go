@@ -49,11 +49,10 @@ import "dart/internal/symbolic"
 
 // CacheKey is the identity of one sliced solve: the slice's predicates
 // in solve order, plus the hint values of every variable they mention,
-// in the self-delimiting binary encoding Path.Key renders (no decimal
-// digits: relations, constants, coefficients and hints are varints).
-// The key deliberately encodes the predicate *sequence*, not just the
-// set — key equality therefore means the solver would see the
-// byte-identical input (same predicates, same order, same hint), so a
+// in the self-delimiting varint encoding Path.Key renders.  The key
+// deliberately encodes the predicate *sequence*, not just the set —
+// key equality therefore means the solver would see the byte-identical
+// input (same predicates, same order, same hint), so a
 // cache hit returns exactly what a fresh solve would, and the
 // determinism of cache-on versus cache-off searches reduces to the
 // solver being a pure function of its input.  The hint belongs in the
