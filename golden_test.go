@@ -43,14 +43,14 @@ type mapPersist struct {
 	m  map[string]solver.PortableResult
 }
 
-func (p *mapPersist) GetPortable(key string) (solver.PortableResult, bool) {
+func (p *mapPersist) GetPortable(key []byte) (solver.PortableResult, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	r, ok := p.m[key]
+	r, ok := p.m[string(key)]
 	return r, ok
 }
 
-func (p *mapPersist) PutPortable(key string, verdict solver.Verdict, model map[string]int64) {
+func (p *mapPersist) PutPortable(key []byte, verdict solver.Verdict, model map[string]int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.m == nil {
@@ -63,7 +63,7 @@ func (p *mapPersist) PutPortable(key string, verdict solver.Verdict, model map[s
 			cp[k] = v
 		}
 	}
-	p.m[key] = solver.PortableResult{Verdict: verdict, Model: cp}
+	p.m[string(key)] = solver.PortableResult{Verdict: verdict, Model: cp}
 }
 
 // goldenInputs renders an input vector in key order.

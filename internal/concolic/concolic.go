@@ -610,9 +610,15 @@ type engine struct {
 	// flips, whichever engine built their Path (a pool worker solves
 	// siblings that another worker indexed).
 	scratch solver.PathScratch
+	// pkey and portable are the buffer and working memory the disk
+	// layer's keys are rendered into (solveIsolated).
+	pkey     []byte
+	portable solver.PortableScratch
 
 	// Per-run state: the predicted stack and its cursor, whether the run
-	// diverged from the prediction, and the flip the run forces.
+	// diverged from the prediction, and the flip the run forces.  A
+	// frontier engine rebuilds the stack in place for each flip
+	// (solveItem).
 	stack      []stackEntry
 	k          int
 	mispredict bool
@@ -633,6 +639,9 @@ type engine struct {
 	// lastTickSolves is the SolverCalls total at the previous timeline
 	// tick (per-run solve deltas feed the timeline's cumulative count).
 	lastTickSolves int
+	// kids is the frontier engine's buffer for the children of its last
+	// run (childItems).
+	kids []frontierItem
 	// qlen reports the pool's pending-flip backlog for timeline samples
 	// (nil for the classic stack engine, which derives its backlog from
 	// the stack).

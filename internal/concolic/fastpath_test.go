@@ -100,11 +100,11 @@ func TestSolveCacheEvictionAtTinyCapacity(t *testing.T) {
 // portable key Sat with an empty model and stores nothing.
 type lyingDisk struct{}
 
-func (lyingDisk) GetPortable(string) (solver.PortableResult, bool) {
+func (lyingDisk) GetPortable([]byte) (solver.PortableResult, bool) {
 	return solver.PortableResult{Verdict: solver.Sat}, true
 }
 
-func (lyingDisk) PutPortable(string, solver.Verdict, map[string]int64) {}
+func (lyingDisk) PutPortable([]byte, solver.Verdict, map[string]int64) {}
 
 // TestLyingDiskSatVerified: the disk layer is untrusted input, so a Sat
 // it answers is verified against the full flip constraint even when

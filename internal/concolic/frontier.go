@@ -95,11 +95,16 @@ func (r *parentRun) release() bool {
 // engine writes e.im only while running, and it replaces e.im with a
 // copy (solveItem on Sat) before it runs again; only the root run, which
 // no child precedes, restarts on a cleared vector (frontierRoot).
+//
+// The returned items live in the engine's e.kids buffer, which the
+// engine's next childItems call overwrites: the scheduler copies the
+// items it keeps (sched.seed, sched.finish), and enqueued accounts the
+// dropped ones before the engine runs again.
 func (e *engine) childItems(branches []machine.BranchRec, bound int) []frontierItem {
 	path := pathPool.Get().(*solver.Path)
 	path.Reset()
 	run := &parentRun{outcomes: make([]bool, len(branches)), path: path, im: e.im}
-	var kids []frontierItem
+	kids := e.kids[:0]
 	for j, rec := range branches {
 		run.outcomes[j] = rec.Taken
 		if !rec.HasPred {
@@ -118,6 +123,7 @@ func (e *engine) childItems(branches []machine.BranchRec, bound int) []frontierI
 		}
 		kids = append(kids, frontierItem{parent: run, n: n, flipTaken: !rec.Taken, depth: j, site: rec.Site})
 	}
+	e.kids = kids
 	if len(kids) == 0 {
 		pathPool.Put(path)
 		return nil
@@ -175,7 +181,7 @@ func (e *engine) solveItem(item frontierItem) bool {
 
 	// Predict the prefix plus the flipped branch.
 	prefix := run.outcomes[:f.depth]
-	e.stack = make([]stackEntry, 0, len(prefix)+1)
+	e.stack = e.stack[:0]
 	for _, b := range prefix {
 		e.stack = append(e.stack, stackEntry{branch: b, done: true})
 	}

@@ -44,7 +44,7 @@ type runRecorder struct {
 	regs    *machine.InputTrie
 	union   *coverage.Set
 	records []RunRecord
-	// dirbuf dedups one run's directions; cleared per observe call.
+	// dirbuf dedups a kept run's directions; cleared per kept run.
 	dirbuf map[CovDir]bool
 }
 
@@ -54,20 +54,36 @@ func newRunRecorder(sites int, regs *machine.InputTrie) *runRecorder {
 
 // observe offers one completed run to the log.  im is the vector that
 // drove the run (rendered by key if kept); branches its branch records.
+// Most runs add no direction, so freshness is decided first, against
+// the union, and only a kept run builds its direction list and named
+// inputs: a stale run costs the lookups and allocates nothing.
 func (r *runRecorder) observe(im *vector, branches []machine.BranchRec) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if !r.adds(branches) {
+		return
+	}
 	dirs := runCover(branches, r.dirbuf)
-	fresh := false
 	for _, d := range dirs {
-		fresh = r.union.Record(d.Site, d.Taken) || fresh
+		r.union.Record(d.Site, d.Taken)
 	}
-	if fresh {
-		r.records = append(r.records, RunRecord{Inputs: im.named(r.regs), Cover: dirs})
+	r.records = append(r.records, RunRecord{Inputs: im.named(r.regs), Cover: dirs})
+}
+
+// adds reports whether branches cover a direction the union lacks.
+func (r *runRecorder) adds(branches []machine.BranchRec) bool {
+	for _, rec := range branches {
+		if rec.Site < 0 {
+			continue
+		}
+		if taken, notTaken := r.union.Site(rec.Site); !taken && rec.Taken || !notTaken && !rec.Taken {
+			return true
+		}
 	}
+	return false
 }
 
 // runCover lists the branch directions a run covered, deduped in

@@ -148,15 +148,16 @@ func (e *engine) noteFault(f *InternalError) bool {
 //     by CacheKey's bytes, which the path renders from its index and
 //     hint into the engine's scratch, and which a hit looks up without
 //     a copy; its model is the stored map, which the engine only
-//     reads), then the persistent disk layer (keyed by PortableKey, which
-//     renders stable input names and can therefore outlive the search),
-//     then the solver, whose slice-level result fills both layers (a
-//     disk hit is promoted into the LRU).  Either key renders the exact
-//     solver input, so a hit returns precisely what the fresh solve
-//     would.  The hint map PortableKey and the solver take is built only
-//     when the LRU missed.  The LRU sits out a search's first
-//     solveCacheWarmup solves (counted as misses), keeping the fast path
-//     free for tiny searches.
+//     reads), then the persistent disk layer (keyed by PortableKey's
+//     bytes, which render stable input names and can therefore outlive
+//     the search; the engine renders them into its own buffer, and the
+//     disk layer looks them up without a copy), then the solver, whose
+//     slice-level result fills both layers (a disk hit is promoted into
+//     the LRU).  Either key renders the exact solver input, so a hit
+//     returns precisely what the fresh solve would.  The hint map the
+//     disk key and the solver take is built only when the LRU missed.
+//     The LRU sits out a search's first solveCacheWarmup solves (counted
+//     as misses), keeping the fast path free for tiny searches.
 //  3. One tail for every answer: render the explainer's unsat proof,
 //     and verify a Sat model against the *full* original conjunction
 //     with overflow-checked evaluation when slicing pruned predicates
@@ -235,9 +236,8 @@ func (e *engine) solveIsolated(path *solver.Path, n int) (out solveOutcome) {
 	out.sliced = pruned
 
 	// key is the LRU key, rendered into e.scratch: valid until the
-	// scratch renders another.
+	// scratch renders another.  The disk key is rendered into e.pkey.
 	var key []byte
-	var pkey string
 	answered := false
 	useCache := e.cache != nil && e.report.SolverCalls >= solveCacheWarmup
 	if useCache {
@@ -266,8 +266,8 @@ func (e *engine) solveIsolated(path *solver.Path, n int) (out solveOutcome) {
 		if e.prof != nil {
 			t0 = time.Now()
 		}
-		pkey = solver.PortableKey(slice, hint, e.opts.SolverBudget, e.varName, e.meta)
-		pr, ok := e.opts.Persistent.GetPortable(pkey)
+		e.pkey = solver.AppendPortableKey(e.pkey[:0], &e.portable, slice, hint, e.opts.SolverBudget, e.varName, e.meta)
+		pr, ok := e.opts.Persistent.GetPortable(e.pkey)
 		var psol map[symbolic.Var]int64
 		if ok {
 			psol, ok = e.portableModel(pr.Model)
@@ -317,7 +317,7 @@ func (e *engine) solveIsolated(path *solver.Path, n int) (out solveOutcome) {
 			out.evicted = e.cache.Put(key, out.verdict, out.model)
 		}
 		if e.opts.Persistent != nil {
-			e.opts.Persistent.PutPortable(pkey, out.verdict, e.namedModel(out.model))
+			e.opts.Persistent.PutPortable(e.pkey, out.verdict, e.namedModel(out.model))
 		}
 	}
 
@@ -361,7 +361,8 @@ func (e *engine) portableModel(m map[string]int64) (map[symbolic.Var]int64, bool
 }
 
 // namedModel renders a solver model under stable input-key names, the
-// form the persistent cache stores.
+// form the persistent cache stores, into a fresh map: PutPortable takes
+// ownership of it.
 func (e *engine) namedModel(sol map[symbolic.Var]int64) map[string]int64 {
 	if sol == nil {
 		return nil

@@ -49,8 +49,9 @@ type Corpus struct {
 	loadSolves sync.Once
 
 	mu sync.Mutex
-	// solves is the in-memory image of the persistent solve log; pending
-	// holds records appended since the last Flush.
+	// solves is the in-memory image of the persistent solve log, looked
+	// up by a key's bytes (solvelog.go); pending holds records appended
+	// since the last Flush.
 	solves  map[string]solver.PortableResult
 	pending []solveRecord
 	// notes collects load-time corruption diagnostics (logged, never

@@ -275,8 +275,8 @@ func TestSolveLogPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.PutPortable("key-a", solver.Sat, map[string]int64{"d0.x": 10})
-	c.PutPortable("key-b", solver.Unsat, nil)
+	c.PutPortable([]byte("key-a"), solver.Sat, map[string]int64{"d0.x": 10})
+	c.PutPortable([]byte("key-b"), solver.Unsat, nil)
 	if err := c.FlushSolves(); err != nil {
 		t.Fatal(err)
 	}
@@ -292,11 +292,11 @@ func TestSolveLogPersistence(t *testing.T) {
 	if n := c2.SolveCount(); n != 2 {
 		t.Fatalf("reloaded SolveCount = %d, want 2", n)
 	}
-	r, ok := c2.GetPortable("key-a")
+	r, ok := c2.GetPortable([]byte("key-a"))
 	if !ok || r.Verdict != solver.Sat || r.Model["d0.x"] != 10 {
 		t.Errorf("key-a = %+v ok=%v", r, ok)
 	}
-	r, ok = c2.GetPortable("key-b")
+	r, ok = c2.GetPortable([]byte("key-b"))
 	if !ok || r.Verdict != solver.Unsat || r.Model != nil {
 		t.Errorf("key-b = %+v ok=%v", r, ok)
 	}
@@ -311,8 +311,8 @@ func TestSolveLogByteFlipFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.PutPortable("key-a", solver.Sat, map[string]int64{"d0.x": 10})
-	c.PutPortable("key-b", solver.Unsat, nil)
+	c.PutPortable([]byte("key-a"), solver.Sat, map[string]int64{"d0.x": 10})
+	c.PutPortable([]byte("key-b"), solver.Unsat, nil)
 	if err := c.FlushSolves(); err != nil {
 		t.Fatal(err)
 	}
@@ -335,11 +335,11 @@ func TestSolveLogByteFlipFaultInjection(t *testing.T) {
 			t.Fatalf("byte %d flipped: %d records from a 2-record log", i, n)
 		}
 		// Any key that still resolves must resolve to the original value.
-		if r, ok := cc.GetPortable("key-a"); ok &&
+		if r, ok := cc.GetPortable([]byte("key-a")); ok &&
 			(r.Verdict != solver.Sat || r.Model["d0.x"] != 10) {
 			t.Fatalf("byte %d flipped: key-a mutated to %+v", i, r)
 		}
-		if r, ok := cc.GetPortable("key-b"); ok && (r.Verdict != solver.Unsat || len(r.Model) != 0) {
+		if r, ok := cc.GetPortable([]byte("key-b")); ok && (r.Verdict != solver.Unsat || len(r.Model) != 0) {
 			t.Fatalf("byte %d flipped: key-b mutated to %+v", i, r)
 		}
 	}
@@ -353,8 +353,8 @@ func TestSolveLogTruncatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.PutPortable("key-a", solver.Sat, map[string]int64{"d0.x": 10})
-	c.PutPortable("key-b", solver.Unsat, nil)
+	c.PutPortable([]byte("key-a"), solver.Sat, map[string]int64{"d0.x": 10})
+	c.PutPortable([]byte("key-b"), solver.Unsat, nil)
 	if err := c.FlushSolves(); err != nil {
 		t.Fatal(err)
 	}
@@ -367,10 +367,10 @@ func TestSolveLogTruncatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c2.GetPortable("key-a"); !ok {
+	if _, ok := c2.GetPortable([]byte("key-a")); !ok {
 		t.Error("first record lost to a truncated tail")
 	}
-	if _, ok := c2.GetPortable("key-b"); ok {
+	if _, ok := c2.GetPortable([]byte("key-b")); ok {
 		t.Error("truncated final record was trusted")
 	}
 	notes := strings.Join(c2.Notes(), "\n")
@@ -388,7 +388,7 @@ func TestSolveLogReadOnFirstUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.PutPortable("key-a", solver.Sat, map[string]int64{"d0.x": 10})
+	c.PutPortable([]byte("key-a"), solver.Sat, map[string]int64{"d0.x": 10})
 	if err := c.FlushSolves(); err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestSolveLogReadOnFirstUse(t *testing.T) {
 	if notes := c2.Notes(); len(notes) != 0 {
 		t.Fatalf("solve log read before first use: %v", notes)
 	}
-	if r, ok := c2.GetPortable("key-a"); !ok || r.Verdict != solver.Sat || r.Model["d0.x"] != 10 {
+	if r, ok := c2.GetPortable([]byte("key-a")); !ok || r.Verdict != solver.Sat || r.Model["d0.x"] != 10 {
 		t.Errorf("key-a = %+v ok=%v", r, ok)
 	}
 	notes := strings.Join(c2.Notes(), "\n")
@@ -442,11 +442,11 @@ func TestSolveLogReadOnFirstUse(t *testing.T) {
 			<-start
 			switch g % 3 {
 			case 0:
-				if _, ok := c3.GetPortable("key-a"); !ok {
+				if _, ok := c3.GetPortable([]byte("key-a")); !ok {
 					t.Error("concurrent first use: key-a missing")
 				}
 			case 1:
-				c3.PutPortable(fmt.Sprintf("key-%d", g), solver.Unsat, nil)
+				c3.PutPortable(fmt.Appendf(nil, "key-%d", g), solver.Unsat, nil)
 			default:
 				if n := c3.SolveCount(); n < 1 {
 					t.Errorf("concurrent first use: SolveCount = %d", n)

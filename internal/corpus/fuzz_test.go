@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -62,6 +63,27 @@ func FuzzSolveLog(f *testing.F) {
 		if rec.V < 0 || rec.V > int(solver.BudgetExhausted) {
 			t.Fatalf("accepted verdict %d out of range: %q", rec.V, line)
 		}
+	})
+}
+
+// FuzzSolveLineWriter runs TestSolveLineMatchesMarshal's comparison on
+// fuzzed (key, name, value, verdict) tuples: the rendered line must be
+// json.Marshal's, byte for byte, and parseSolveLine must read it back
+// to its record.  Each record holds a two-name model, or none when value
+// is 0.  The seeds are TestSolveLineMatchesMarshal's hostile strings.
+func FuzzSolveLineWriter(f *testing.F) {
+	for i, s := range hostileStrings() {
+		f.Add(s, hostileStrings()[(i+1)%len(hostileStrings())], int64(i)-1, i%4)
+	}
+	f.Add("key", "d0.x", int64(math.MinInt64), int(solver.Sat))
+	f.Add("", "", int64(math.MaxInt64), -1)
+	var line solveLine
+	f.Fuzz(func(t *testing.T, key, name string, value int64, verdict int) {
+		rec := solveRecord{K: key, V: verdict}
+		if value != 0 {
+			rec.M = map[string]int64{name: value, "d0." + name: ^value}
+		}
+		checkSolveLine(t, &line, rec)
 	})
 }
 

@@ -1,0 +1,7 @@
+//go:build race
+
+package corpus
+
+// raceEnabled reports whether the race detector instruments this test
+// binary; its runtime allocates where the plain runtime does not.
+const raceEnabled = true

@@ -5,9 +5,11 @@
 // audit answered entirely from corpus entries never reads it.  Bad
 // lines — truncated tails from a crash, flipped bytes, records from an
 // unknown format version — are skipped and noted, never trusted; the
-// rest is served from memory, and new solves are appended on Flush.
-// Append-only keeps the flush path crash-tolerant: an interrupted
-// append corrupts at most the final line, which the next load discards.
+// rest is served from memory, and new solves are appended on Flush, by
+// an append encoder that writes json.Marshal's bytes without
+// reflection (solveLine).  Append-only keeps the flush path
+// crash-tolerant: an interrupted append corrupts at most the final
+// line, which the next load discards.
 package corpus
 
 import (
@@ -17,7 +19,10 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"dart/internal/solver"
 )
@@ -90,27 +95,30 @@ func parseSolveLine(line string) (solveRecord, bool) {
 	return rec, true
 }
 
-// GetPortable implements solver.PersistentCache.
-func (c *Corpus) GetPortable(key string) (solver.PortableResult, bool) {
+// GetPortable implements solver.PersistentCache.  The lookup indexes
+// the image with the key's bytes and copies nothing.
+func (c *Corpus) GetPortable(key []byte) (solver.PortableResult, bool) {
 	c.loadSolves.Do(c.loadSolveLog)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, ok := c.solves[key]
+	r, ok := c.solves[string(key)]
 	return r, ok
 }
 
 // PutPortable implements solver.PersistentCache.  New results are kept
-// in memory and queued for the next FlushSolves; re-puts of a known key
-// are dropped (equal by solver determinism).
-func (c *Corpus) PutPortable(key string, verdict solver.Verdict, model map[string]int64) {
+// in memory (the key copied, the model kept as given) and queued for the
+// next FlushSolves; re-puts of a known key are dropped (equal by solver
+// determinism).
+func (c *Corpus) PutPortable(key []byte, verdict solver.Verdict, model map[string]int64) {
 	c.loadSolves.Do(c.loadSolveLog)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, exists := c.solves[key]; exists {
+	if _, exists := c.solves[string(key)]; exists {
 		return
 	}
-	c.solves[key] = solver.PortableResult{Verdict: verdict, Model: model}
-	c.pending = append(c.pending, solveRecord{K: key, V: int(verdict), M: model})
+	k := string(key)
+	c.solves[k] = solver.PortableResult{Verdict: verdict, Model: model}
+	c.pending = append(c.pending, solveRecord{K: k, V: int(verdict), M: model})
 }
 
 // SolveCount returns how many distinct solves the cache holds.
@@ -137,13 +145,13 @@ func (c *Corpus) FlushSolves() error {
 		c.requeue(pending)
 		return fmt.Errorf("corpus: solve log: %w", err)
 	}
-	w := bufio.NewWriter(f)
+	// A cold audit appends about a megabyte; a large buffer keeps the
+	// write calls few.
+	w := bufio.NewWriterSize(f, 64<<10)
+	var line solveLine
 	for _, rec := range pending {
-		payload, merr := json.Marshal(rec)
-		if merr != nil {
-			continue
-		}
-		fmt.Fprintf(w, "%s %08x %s\n", solveLineVersion, crc32.ChecksumIEEE(payload), payload)
+		// A failed write sticks to w, and Flush reports it.
+		w.Write(line.render(rec))
 	}
 	if err := w.Flush(); err != nil {
 		f.Close()
@@ -161,4 +169,118 @@ func (c *Corpus) requeue(pending []solveRecord) {
 	c.mu.Lock()
 	c.pending = append(pending, c.pending...)
 	c.mu.Unlock()
+}
+
+// solveLine renders solve-log lines into memory it reuses from one line
+// to the next.
+type solveLine struct {
+	buf   []byte
+	names []string // the model's names, sorted
+}
+
+// render returns rec's log line, "s1 <crc32-hex> <json>\n", valid until
+// the next render.  The JSON is byte-identical to json.Marshal(rec): the
+// fields in declaration order, "m" left out when the model is empty, its
+// names in byte order, and strings escaped as encoding/json escapes
+// them.  TestSolveLineMatchesMarshal and FuzzSolveLineWriter hold it to
+// that.
+func (l *solveLine) render(rec solveRecord) []byte {
+	const crcAt = len(solveLineVersion) + 1
+	b := append(l.buf[:0], solveLineVersion+" 00000000 "...)
+	payload := len(b)
+	b = append(b, `{"k":`...)
+	b = appendJSONString(b, rec.K)
+	b = append(b, `,"v":`...)
+	b = strconv.AppendInt(b, int64(rec.V), 10)
+	if len(rec.M) > 0 {
+		names := l.names[:0]
+		for n := range rec.M {
+			names = append(names, n)
+		}
+		slices.Sort(names)
+		b = append(b, `,"m":{`...)
+		for i, n := range names {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONString(b, n)
+			b = append(b, ':')
+			b = strconv.AppendInt(b, rec.M[n], 10)
+		}
+		b = append(b, '}')
+		l.names = names
+	}
+	b = append(b, '}')
+	crc := crc32.ChecksumIEEE(b[payload:])
+	for i := range 8 {
+		b[crcAt+i] = hexDigits[crc>>(28-4*i)&0xf]
+	}
+	b = append(b, '\n')
+	l.buf = b
+	return b
+}
+
+const hexDigits = "0123456789abcdef"
+
+// jsonSafe marks the ASCII bytes encoding/json writes into a string
+// unescaped: all but the control bytes, '"', '\\', '<', '>' and '&'.
+var jsonSafe = func() (safe [utf8.RuneSelf]bool) {
+	for b := ' '; b < utf8.RuneSelf; b++ {
+		safe[b] = !strings.ContainsRune(`"\<>&`, b)
+	}
+	return safe
+}()
+
+// appendJSONString appends s as a JSON string, escaped as encoding/json
+// escapes it by default: '"' and '\\' by a backslash, \b \f \n \r \t
+// by name, the other control bytes and '<', '>' and '&' as \u00XX,
+// each byte of invalid UTF-8 as \ufffd, and U+2028 and U+2029 as
+// \u2028 and \u2029.
+func appendJSONString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if jsonSafe[b] {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }

@@ -19,7 +19,8 @@
 package solver
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -38,12 +39,18 @@ type PortableResult struct {
 // concurrent use (parallel audit workers consult one cache) and must
 // treat any unreadable or corrupt persisted record as absent — a
 // degraded cache costs solver time, never a wrong verdict.
+//
+// A key is the caller's scratch, valid only during the call: the engine
+// renders each key into a buffer it reuses for the next solve, so an
+// implementation copies the key bytes it stores.
 type PersistentCache interface {
-	// GetPortable returns the persisted result for key, if any.
-	GetPortable(key string) (PortableResult, bool)
-	// PutPortable records one solve outcome.  The model map must not be
-	// retained by reference after the call returns.
-	PutPortable(key string, verdict Verdict, model map[string]int64)
+	// GetPortable returns the persisted result for key, if any.  The
+	// returned model is shared with the cache and read-only: the caller
+	// must not write it.
+	GetPortable(key []byte) (PortableResult, bool)
+	// PutPortable records one solve outcome.  It takes ownership of
+	// model, which the caller must not use after the call.
+	PutPortable(key []byte, verdict Verdict, model map[string]int64)
 }
 
 // portableKeyVersion stamps every portable key so a future change to
@@ -51,91 +58,108 @@ type PersistentCache interface {
 // invalidates old entries wholesale instead of aliasing them.
 const portableKeyVersion = "pk1"
 
+// PortableScratch is a caller's reusable working memory for
+// AppendPortableKey.  The zero value is ready; it must not be shared
+// between goroutines.
+type PortableScratch struct {
+	// terms holds the nonzero terms of the slice, each predicate's run
+	// in name order while its section renders, then all of them
+	// deduplicated by variable for the hint section.
+	terms []namedTerm
+}
+
+type namedTerm struct {
+	name string
+	v    symbolic.Var
+	c    int64
+}
+
+// byName orders terms by name, then by variable, so a variable's
+// repeats are adjacent for deduplication.
+func byName(a, b namedTerm) int {
+	if c := strings.Compare(a.name, b.name); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.v, b.v)
+}
+
 // PortableKey renders one sliced solve with no search-local state:
 // version, work budget, the predicate sequence in solve order (each
 // variable as name + domain, coefficient pairs in name order), and the
 // hint values by name.  name and meta resolve a variable to its stable
 // input key and solver domain; both must be total over the slice's
-// variables.
+// variables, and name must be one-to-one on them (distinct variables
+// rendered alike would alias distinct solves).  It returns
+// AppendPortableKey's bytes as a string.
 func PortableKey(slice []symbolic.Pred, hint map[symbolic.Var]int64, budget int64, name func(symbolic.Var) string, meta func(symbolic.Var) VarMeta) string {
-	var b strings.Builder
-	b.Grow(64 * (len(slice) + 1))
-	b.WriteString(portableKeyVersion)
-	b.WriteString("!b")
-	b.WriteString(strconv.FormatInt(budget, 10))
-	b.WriteByte('!')
+	var s PortableScratch
+	return string(AppendPortableKey(make([]byte, 0, 64*(len(slice)+1)), &s, slice, hint, budget, name, meta))
+}
 
-	// Deduped slice variables, gathered while rendering predicates.
-	seen := map[symbolic.Var]bool{}
-	var vars []symbolic.Var
-	type pair struct {
-		n string
-		v symbolic.Var
-	}
-	var pairs []pair
+// AppendPortableKey appends PortableKey's rendering of the solve to dst
+// and returns the extended buffer, using s for working memory: into a
+// buffer and scratch with room from earlier keys it allocates nothing.
+func AppendPortableKey(dst []byte, s *PortableScratch, slice []symbolic.Pred, hint map[symbolic.Var]int64, budget int64, name func(symbolic.Var) string, meta func(symbolic.Var) VarMeta) []byte {
+	dst = append(dst, portableKeyVersion+"!b"...)
+	dst = strconv.AppendInt(dst, budget, 10)
+	dst = append(dst, '!')
+	terms := s.terms[:0]
 	for _, p := range slice {
-		b.WriteByte('r')
-		b.WriteString(strconv.Itoa(int(p.Rel)))
+		dst = append(dst, 'r')
+		dst = strconv.AppendInt(dst, int64(p.Rel), 10)
 		if p.L == nil {
-			b.WriteString("|<fallback>&")
+			dst = append(dst, "|<fallback>&"...)
 			continue
 		}
-		b.WriteByte('|')
-		b.WriteString(strconv.FormatInt(p.L.Const, 10))
-		pairs = pairs[:0]
+		dst = append(dst, '|')
+		dst = strconv.AppendInt(dst, p.L.Const, 10)
+		start := len(terms)
 		for v, c := range p.L.Coeffs {
 			if c != 0 {
-				pairs = append(pairs, pair{name(v), v})
-				if !seen[v] {
-					seen[v] = true
-					vars = append(vars, v)
-				}
+				terms = append(terms, namedTerm{name(v), v, c})
 			}
 		}
-		sort.Slice(pairs, func(i, j int) bool { return pairs[i].n < pairs[j].n })
-		for _, pr := range pairs {
-			b.WriteByte('|')
-			writeName(&b, pr.n)
-			m := meta(pr.v)
-			b.WriteByte('{')
-			b.WriteString(strconv.Itoa(int(m.Kind)))
-			b.WriteByte(',')
-			b.WriteString(strconv.FormatInt(m.Lo, 10))
-			b.WriteByte(',')
-			b.WriteString(strconv.FormatInt(m.Hi, 10))
-			b.WriteString("}:")
-			b.WriteString(strconv.FormatInt(p.L.Coeffs[pr.v], 10))
+		pred := terms[start:]
+		slices.SortFunc(pred, byName)
+		for _, t := range pred {
+			m := meta(t.v)
+			dst = append(dst, '|')
+			dst = appendName(dst, t.name)
+			dst = append(dst, '{')
+			dst = strconv.AppendInt(dst, int64(m.Kind), 10)
+			dst = append(dst, ',')
+			dst = strconv.AppendInt(dst, m.Lo, 10)
+			dst = append(dst, ',')
+			dst = strconv.AppendInt(dst, m.Hi, 10)
+			dst = append(dst, "}:"...)
+			dst = strconv.AppendInt(dst, t.c, 10)
 		}
-		b.WriteByte('&')
+		dst = append(dst, '&')
 	}
 
 	// Hint section: the slice's variables in name order, each with its
 	// hint value (or '?' when absent), exactly mirroring CacheKey.
-	b.WriteByte('#')
-	names := make([]string, len(vars))
-	byName := make(map[string]symbolic.Var, len(vars))
-	for i, v := range vars {
-		names[i] = name(v)
-		byName[names[i]] = v
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		writeName(&b, n)
-		b.WriteByte('=')
-		if h, ok := hint[byName[n]]; ok {
-			b.WriteString(strconv.FormatInt(h, 10))
+	dst = append(dst, '#')
+	slices.SortFunc(terms, byName)
+	terms = slices.CompactFunc(terms, func(a, b namedTerm) bool { return a.v == b.v })
+	for _, t := range terms {
+		dst = appendName(dst, t.name)
+		dst = append(dst, '=')
+		if h, ok := hint[t.v]; ok {
+			dst = strconv.AppendInt(dst, h, 10)
 		} else {
-			b.WriteByte('?')
+			dst = append(dst, '?')
 		}
-		b.WriteByte(';')
+		dst = append(dst, ';')
 	}
-	return b.String()
+	s.terms = terms
+	return dst
 }
 
-// writeName writes a length-prefixed name, so names can never collide
+// appendName appends a length-prefixed name, so names can never collide
 // with the key's own delimiters no matter what characters they contain.
-func writeName(b *strings.Builder, n string) {
-	b.WriteString(strconv.Itoa(len(n)))
-	b.WriteByte(':')
-	b.WriteString(n)
+func appendName(dst []byte, n string) []byte {
+	dst = strconv.AppendInt(dst, int64(len(n)), 10)
+	dst = append(dst, ':')
+	return append(dst, n...)
 }

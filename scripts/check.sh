@@ -18,6 +18,7 @@ test -z "$unformatted"
 go test -run 'TestTraceGolden|TestEngineSignatureGolden|TestMinisipCorpusGolden' .
 go test -run '^$' -fuzz '^FuzzCompile$' -fuzztime 15s .
 go test -run '^$' -fuzz '^FuzzSolveLog$' -fuzztime 15s ./internal/corpus/
+go test -run '^$' -fuzz '^FuzzSolveLineWriter$' -fuzztime 15s ./internal/corpus/
 go test -run '^$' -fuzz '^FuzzCorpusEntry$' -fuzztime 15s ./internal/corpus/
 go test -run '^$' -fuzz '^FuzzSolveOracle$' -fuzztime 15s ./internal/solver/
 go test -race ./...
@@ -33,9 +34,10 @@ go test -count=1 -run 'TestServerLiveAudit' ./internal/ops/
 # search finds — cache on/off/tiny report equality under both engines,
 # jobs-independence with the cache on, and replayable random-mode bugs;
 # the binary solve-cache key must tell solves apart exactly as the
-# decimal oracle rendering does.
+# decimal oracle rendering does, and the disk key rendered into scratch
+# must keep the map-and-sort oracle's bytes.
 go test -count=1 -run 'TestSolveCache|TestSlicingOnClusters|TestRandomBugsReplay|TestLyingDiskSatVerified' ./internal/concolic/
-go test -count=1 -run 'TestPathKeyMatchesOracle|TestKeyIdentityMatchesOracle|TestSolveMatchesOracle|TestSolveIndependentOfMapOrder|TestSolveWideDomain' ./internal/solver/
+go test -count=1 -run 'TestPathKeyMatchesOracle|TestKeyIdentityMatchesOracle|TestAppendPortableKeyMatchesOracle|TestSolveMatchesOracle|TestSolveIndependentOfMapOrder|TestSolveWideDomain' ./internal/solver/
 go test -count=1 -run 'TestAuditCacheDeterministicAcrossJobs' ./internal/audit/
 # Parallel search gate: worker-count determinism, pool invariants, the
 # recycling of a parent run's path once its last flip is released, the
@@ -64,7 +66,9 @@ go test -count=1 -race -run 'TestPoisonedJobIsolation|TestCachedByteIdentical|Te
 # profiles must serve real data, ring drops must be visible as seq gaps
 # plus dart_events_dropped_total, the live event fan-out must stay exact
 # under concurrent producers and allocate nothing per event once warm
-# (as a warm solve-cache hit must allocate nothing: slice, key, lookup),
+# (as a warm solve-cache hit must allocate nothing: slice, key, lookup;
+# nor a disk key rendered into warm scratch, a solve-log hit, or a run
+# the recorder finds stale),
 # and long-poll/SSE job completion must block, stream, and shed load
 # honestly.
 go test -count=1 -race -run 'TestProfileDeterministicAcrossWorkers|TestProfileOffByDefault|TestProfilePhases|TestProfileCacheAttribution' ./internal/concolic/
@@ -72,6 +76,8 @@ go test -count=1 -run 'TestProfile|TestLiveProfile|TestMetricsFold|TestTreeFlame
 go test -count=1 -race -run 'TestRingSeqGapsMatchDrops|TestEventsFollowTrailingDrops|TestServerProfileEndpoint|TestSinkConcurrent|TestRingConcurrentAccounting' ./internal/ops/
 go test -count=1 -run 'TestSinkSteadyStateAllocs' ./internal/ops/
 go test -count=1 -run 'TestCacheHitAllocs' ./internal/solver/
+go test -count=1 -run 'TestDiskLookupAllocs' ./internal/corpus/
+go test -count=1 -run 'TestRecorderSkipsStaleRun' ./internal/concolic/
 go test -count=1 -race -run 'TestJobWait|TestJobSSEStream|TestCachedJobHasNoProfile|TestJobProfileFeedsServerProfile' ./internal/serve/
 # CLI end to end: -profile must print both cost tables and -json must
 # carry the structured profile object.
@@ -145,9 +151,12 @@ rm -rf "$tmp"
 # per-function status and run counts, coverage, completeness flags),
 # staleness must re-search only the changed function, and corrupt
 # corpus artifacts must degrade to a full re-search, never a wrong
-# verdict.
+# verdict.  The run recorder that feeds distillation must keep exactly
+# the runs that add a direction, and the solve-log writer must write
+# json.Marshal's bytes.
 go test -count=1 -race -run 'TestAuditWarmMatchesCold|TestAuditStaleHash|TestAuditCorruptEntryDegrades|TestAuditOptionsSigGatesReplay|TestPersistentSolveCache|TestWarmAuditSkipsSolveLog' ./internal/audit/
 go test -count=1 -race ./internal/corpus/ ./internal/distill/
+go test -count=1 -race -run 'TestRecorderSkipsStaleRun' ./internal/concolic/
 go test -count=1 -race -run 'TestRestartServesFromCorpusDisk|TestRestartCorpusFastPath' ./internal/serve/
 go test -count=1 -race -run 'TestIncrementalSIPWarmMatchesCold|TestCLIWarmAuditWarnsCorruptSolveLog' .
 # CLI warm-vs-cold plane equality: strip the timing and corpus
