@@ -218,6 +218,87 @@ func TestCLIAuditJSON(t *testing.T) {
 	}
 }
 
+// TestCLIAuditSearchFlags: -audit runs each function's search with
+// the -depth, -strategy and -hangs given, and a bad -strategy is a
+// usage error there as in a single search.  The abort below needs two
+// calls to step; the loop in spin is only a bug under -hangs.
+func TestCLIAuditSearchFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the CLI binary")
+	}
+	dir := t.TempDir()
+	bin := buildCLI(t, dir)
+	write := func(name, src string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	step := write("step.mc", `int count;
+int step(int x) { if (x == 7) { count = count + 1; } if (count == 2) abort(); return 0; }
+`)
+	spin := write("spin.mc", "int spin(int x) { if (x == 3) { while (1) { } } return 0; }\n")
+	audit := func(args ...string) (string, string, int) {
+		t.Helper()
+		cmd := exec.Command(bin, append([]string{"-audit", "-runs", "200", "-json"}, args...)...)
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		code := 0
+		if ee, ok := err.(*exec.ExitError); ok {
+			code = ee.ExitCode()
+		} else if err != nil {
+			t.Fatalf("%v: %v\n%s", args, err, stderr.String())
+		}
+		return stdout.String(), stderr.String(), code
+	}
+	bugKinds := func(out string) []string {
+		t.Helper()
+		var rep struct {
+			Entries []struct {
+				Bugs []struct {
+					Kind string `json:"kind"`
+				} `json:"bugs"`
+			} `json:"entries"`
+		}
+		if err := json.Unmarshal([]byte(out), &rep); err != nil {
+			t.Fatalf("invalid JSON: %v\n%s", err, out)
+		}
+		var kinds []string
+		for _, e := range rep.Entries {
+			for _, b := range e.Bugs {
+				kinds = append(kinds, b.Kind)
+			}
+		}
+		return kinds
+	}
+
+	for _, c := range []struct {
+		args []string
+		code int
+		bugs string
+	}{
+		{[]string{step}, 0, ""},
+		{[]string{"-depth", "2", step}, 1, "abort"},
+		{[]string{"-depth", "2", "-strategy", "bfs", step}, 1, "abort"},
+		{[]string{spin}, 0, ""},
+		{[]string{"-hangs", spin}, 1, "step-limit"},
+	} {
+		out, stderr, code := audit(c.args...)
+		if code != c.code {
+			t.Errorf("%v: exit %d, want %d\n%s%s", c.args, code, c.code, out, stderr)
+			continue
+		}
+		if got := strings.Join(bugKinds(out), ","); got != c.bugs {
+			t.Errorf("%v: bugs %q, want %q\n%s", c.args, got, c.bugs, out)
+		}
+	}
+	if _, stderr, code := audit("-strategy", "bogus", step); code != 2 || !strings.Contains(stderr, "unknown strategy") {
+		t.Errorf("-audit -strategy bogus: exit %d, want 2 with a diagnostic\n%s", code, stderr)
+	}
+}
+
 // TestCLIWarmAuditWarnsCorruptSolveLog: a fully warm human-mode
 // -audit -corpus run searches nothing, so only its summary's solve
 // count reads the solve log; a corrupt line that read finds must still

@@ -166,6 +166,19 @@ func run() int {
 		return 0
 	}
 
+	var strat dart.Strategy
+	switch *strategy {
+	case "dfs":
+		strat = dart.DFS
+	case "bfs":
+		strat = dart.BFS
+	case "random":
+		strat = dart.RandomBranch
+	default:
+		fmt.Fprintf(os.Stderr, "dart: unknown strategy %q\n", *strategy)
+		return 2
+	}
+
 	// The trace sink is shared by both modes: one NDJSON stream, whether
 	// it carries a single search or a whole interleaved audit.
 	var trace *traceWriter
@@ -199,6 +212,9 @@ func run() int {
 		}
 		code := runAudit(prog, auditConfig{
 			seed:        *seed,
+			depth:       *depth,
+			strategy:    strat,
+			hangs:       *hangs,
 			maxRuns:     *runs,
 			timeout:     *timeout,
 			jobs:        *jobs,
@@ -237,19 +253,6 @@ func run() int {
 		}
 		fmt.Print(in.String())
 		return 0
-	}
-
-	var strat dart.Strategy
-	switch *strategy {
-	case "dfs":
-		strat = dart.DFS
-	case "bfs":
-		strat = dart.BFS
-	case "random":
-		strat = dart.RandomBranch
-	default:
-		fmt.Fprintf(os.Stderr, "dart: unknown strategy %q\n", *strategy)
-		return 2
 	}
 
 	mode := "directed"
@@ -737,6 +740,9 @@ const explainTopRows = 25
 // auditConfig carries the flag values relevant to -audit mode.
 type auditConfig struct {
 	seed        int64
+	depth       int
+	strategy    dart.Strategy
+	hangs       bool
 	maxRuns     int
 	timeout     time.Duration
 	jobs        int
@@ -773,15 +779,18 @@ func runAudit(prog *dart.Program, cfg auditConfig) int {
 		sinks = append(sinks, pr)
 	}
 	opts := dart.AuditOptions{
-		Toplevels:     fns,
-		Seed:          cfg.seed,
-		MaxRuns:       cfg.maxRuns,
-		Timeout:       cfg.timeout,
-		Jobs:          cfg.jobs,
-		Workers:       cfg.workers,
-		SolveCacheCap: cfg.cacheCap,
-		UseRandom:     cfg.random,
-		Interpreter:   cfg.interp,
+		Toplevels:       fns,
+		Seed:            cfg.seed,
+		Depth:           cfg.depth,
+		Strategy:        cfg.strategy,
+		ReportStepLimit: cfg.hangs,
+		MaxRuns:         cfg.maxRuns,
+		Timeout:         cfg.timeout,
+		Jobs:            cfg.jobs,
+		Workers:         cfg.workers,
+		SolveCacheCap:   cfg.cacheCap,
+		UseRandom:       cfg.random,
+		Interpreter:     cfg.interp,
 		// A live ops server profiles regardless of -profile: /profile
 		// should answer during any served audit, and audits are long
 		// enough that the profiler's clock reads are noise.

@@ -1,13 +1,12 @@
 package ir
 
-import "dart/internal/types"
-
 // Optimize performs conservative RAM-machine optimizations on every
-// function: constant folding (with C's wrapping semantics, so folding
-// cannot change observable behaviour), algebraic identities, folding of
-// constant conditionals, jump threading, and unreachable-code removal.
-// Branch sites are renumbered densely afterwards so coverage totals
-// reflect the branches that still exist.
+// function: constant folding (by the operator definitions the machine
+// executes, eval.go, so folding cannot change observable behaviour),
+// algebraic identities, folding of constant conditionals, jump
+// threading, and unreachable-code removal.  Branch sites are renumbered
+// densely afterwards so coverage totals reflect the branches that still
+// exist.
 //
 // Optimization helps the directed search twice over: constant branches
 // disappear instead of wasting stack entries the search can never flip,
@@ -69,8 +68,11 @@ func foldInstr(ins Instr) {
 	}
 }
 
-// foldExpr folds constants bottom-up.  Division and modulus by a
-// constant zero are left unfolded so the runtime fault still occurs.
+// foldExpr folds constants bottom-up with the operators' one
+// definition (eval.go), so a folded constant is the value execution
+// would compute.  An expression whose evaluation faults, such as
+// division or modulus by a constant zero, is left unfolded so the fault
+// still occurs at run time.
 func foldExpr(e Expr) Expr {
 	switch e := e.(type) {
 	case *Load:
@@ -78,43 +80,22 @@ func foldExpr(e Expr) Expr {
 		return e
 	case *Un:
 		e.A = foldExpr(e.A)
-		a, ok := e.A.(*Const)
-		if !ok {
-			return e
-		}
-		var v int64
-		switch e.Op {
-		case Neg:
-			v = -a.V
-		case Not:
-			if a.V == 0 {
-				v = 1
+		if a, ok := e.A.(*Const); ok {
+			if v, err := e.Op.EvalUnary(a.V, e.Ty); err == nil {
+				return &Const{V: v}
 			}
-		case Compl:
-			v = ^a.V
-		case Conv:
-			v = a.V
-		default:
-			return e
 		}
-		return &Const{V: wrap(v, e.Ty)}
+		return e
 	case *Bin:
 		e.A = foldExpr(e.A)
 		e.B = foldExpr(e.B)
 		a, aok := e.A.(*Const)
 		b, bok := e.B.(*Const)
 		if aok && bok {
-			if (e.Op == Div || e.Op == Mod) && b.V == 0 {
-				return e // preserve the runtime fault
+			if v, err := e.Op.Eval(a.V, b.V, e.Ty); err == nil {
+				return &Const{V: v}
 			}
-			v, err := applyConstBin(e.Op, a.V, b.V)
-			if err != nil {
-				return e
-			}
-			if !e.Op.IsComparison() {
-				v = wrap(v, e.Ty)
-			}
-			return &Const{V: v}
+			return e // a fault (x/0) stays, to occur at run time
 		}
 		return foldIdentity(e, a, aok, b, bok)
 	}
@@ -168,61 +149,6 @@ func foldIdentity(e *Bin, a *Const, aok bool, b *Const, bok bool) Expr {
 		}
 	}
 	return e
-}
-
-// applyConstBin mirrors the machine's concrete binary semantics.
-func applyConstBin(op Op, a, b int64) (int64, error) {
-	switch op {
-	case Add:
-		return a + b, nil
-	case Sub:
-		return a - b, nil
-	case Mul:
-		return a * b, nil
-	case Div:
-		return a / b, nil
-	case Mod:
-		return a % b, nil
-	case And:
-		return a & b, nil
-	case Or:
-		return a | b, nil
-	case Xor:
-		return a ^ b, nil
-	case Shl:
-		return a << (uint64(b) & 63), nil
-	case Shr:
-		return a >> (uint64(b) & 63), nil
-	case Eq:
-		return cb(a == b), nil
-	case Ne:
-		return cb(a != b), nil
-	case Lt:
-		return cb(a < b), nil
-	case Le:
-		return cb(a <= b), nil
-	case Gt:
-		return cb(a > b), nil
-	case Ge:
-		return cb(a >= b), nil
-	}
-	return 0, errBadOp
-}
-
-var errBadOp = &CompileError{Msg: "bad operator"}
-
-func cb(x bool) int64 {
-	if x {
-		return 1
-	}
-	return 0
-}
-
-func wrap(v int64, ty *types.Basic) int64 {
-	if ty == nil {
-		return v
-	}
-	return types.Truncate(ty, v)
 }
 
 // ---------------------------------------------------------------- CFG

@@ -4,10 +4,13 @@
 // (direct-threaded code): operand addressing, call targets, store
 // widths, and operator dispatch are all resolved at lowering time, so
 // the step loop executes one indirect call per instruction with no
-// ir.Expr re-traversal and no type switches.  The symbolic shadow of
-// Fig. 1 is pay-as-you-go: compiled Load ops consult the memory's
-// per-cell taint bitmap, and an instruction whose operands never
-// touched a tainted cell skips shadow evaluation entirely — sound
+// ir.Expr re-traversal and no type switches.  What an operator computes
+// is not defined here: a binary operator's closure calls the function
+// ir.Op.Lower takes from ir's operator table, the one definition the
+// optimizer folds with and the interpreter evaluates.  The symbolic
+// shadow of Fig. 1 is pay-as-you-go: compiled Load ops consult the
+// memory's per-cell taint bitmap, and an instruction whose operands
+// never touched a tainted cell skips shadow evaluation entirely — sound
 // because evaluate_symbolic over all-constant leaves yields a constant
 // form and never clears a completeness flag (see DESIGN.md).  When the
 // shadow is needed, the op falls back to the reference evalSym /
@@ -506,111 +509,21 @@ func (c *Compiled) compileExpr(e ir.Expr) cexpr {
 		}
 
 	case *ir.Un:
-		a := c.compileExpr(e.A)
-		tr := truncFn(e.Ty)
-		switch e.Op {
-		case ir.Neg:
-			return func(m *Machine, frame int64) (int64, error) {
-				v, err := a(m, frame)
-				if err != nil {
-					return 0, err
-				}
-				return tr(-v), nil
+		// Unary operators are rare: the closure calls the definition.
+		a, op, ty := c.compileExpr(e.A), e.Op, e.Ty
+		return func(m *Machine, frame int64) (int64, error) {
+			v, err := a(m, frame)
+			if err != nil {
+				return 0, err
 			}
-		case ir.Not:
-			return func(m *Machine, frame int64) (int64, error) {
-				v, err := a(m, frame)
-				if err != nil {
-					return 0, err
-				}
-				return tr(b2i(v == 0)), nil
-			}
-		case ir.Compl:
-			return func(m *Machine, frame int64) (int64, error) {
-				v, err := a(m, frame)
-				if err != nil {
-					return 0, err
-				}
-				return tr(^v), nil
-			}
-		case ir.Conv:
-			return func(m *Machine, frame int64) (int64, error) {
-				v, err := a(m, frame)
-				if err != nil {
-					return 0, err
-				}
-				return tr(v), nil
-			}
-		default:
-			return errExpr("bad unary op " + e.Op.String())
+			return op.EvalUnary(v, ty)
 		}
 
 	case *ir.Bin:
-		a := c.compileExpr(e.A)
-		b := c.compileExpr(e.B)
-		op := e.Op
-		if op.IsComparison() {
-			return func(m *Machine, frame int64) (int64, error) {
-				x, err := a(m, frame)
-				if err != nil {
-					return 0, err
-				}
-				y, err := b(m, frame)
-				if err != nil {
-					return 0, err
-				}
-				switch op {
-				case ir.Eq:
-					return b2i(x == y), nil
-				case ir.Ne:
-					return b2i(x != y), nil
-				case ir.Lt:
-					return b2i(x < y), nil
-				case ir.Le:
-					return b2i(x <= y), nil
-				case ir.Gt:
-					return b2i(x > y), nil
-				default: // Ge
-					return b2i(x >= y), nil
-				}
-			}
-		}
-		tr := truncFn(e.Ty)
-		var apply func(x, y int64) (int64, error)
-		switch op {
-		case ir.Add:
-			apply = func(x, y int64) (int64, error) { return x + y, nil }
-		case ir.Sub:
-			apply = func(x, y int64) (int64, error) { return x - y, nil }
-		case ir.Mul:
-			apply = func(x, y int64) (int64, error) { return x * y, nil }
-		case ir.Div:
-			apply = func(x, y int64) (int64, error) {
-				if y == 0 {
-					return 0, errDivZero
-				}
-				return x / y, nil
-			}
-		case ir.Mod:
-			apply = func(x, y int64) (int64, error) {
-				if y == 0 {
-					return 0, errDivZero
-				}
-				return x % y, nil
-			}
-		case ir.And:
-			apply = func(x, y int64) (int64, error) { return x & y, nil }
-		case ir.Or:
-			apply = func(x, y int64) (int64, error) { return x | y, nil }
-		case ir.Xor:
-			apply = func(x, y int64) (int64, error) { return x ^ y, nil }
-		case ir.Shl:
-			apply = func(x, y int64) (int64, error) { return x << (uint64(y) & 63), nil }
-		case ir.Shr:
-			apply = func(x, y int64) (int64, error) { return x >> (uint64(y) & 63), nil }
-		default:
-			return errExpr("bad binary op " + op.String())
-		}
+		// The operator's function and result width come from ir's table
+		// once, here, instead of on every evaluation.
+		a, b := c.compileExpr(e.A), c.compileExpr(e.B)
+		f, ty := e.Op.Lower(e.Ty)
 		return func(m *Machine, frame int64) (int64, error) {
 			x, err := a(m, frame)
 			if err != nil {
@@ -620,22 +533,14 @@ func (c *Compiled) compileExpr(e ir.Expr) cexpr {
 			if err != nil {
 				return 0, err
 			}
-			v, err := apply(x, y)
-			if err != nil {
-				return 0, err
+			v, err := f(x, y)
+			if err != nil || ty == nil {
+				return v, err
 			}
-			return tr(v), nil
+			return types.Truncate(ty, v), nil
 		}
 	}
 	return errExpr("bad expression")
-}
-
-// truncFn resolves width truncation once; identity when untyped.
-func truncFn(ty *types.Basic) func(int64) int64 {
-	if ty == nil {
-		return func(v int64) int64 { return v }
-	}
-	return func(v int64) int64 { return types.Truncate(ty, v) }
 }
 
 func errExpr(msg string) cexpr {

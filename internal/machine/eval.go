@@ -8,10 +8,9 @@ import (
 	"dart/internal/types"
 )
 
-var errDivZero = errors.New("division by zero")
-
 // evalConcrete is the paper's evaluate_concrete(e, M): standard RAM-
-// machine expression evaluation with C's wrapping integer semantics.
+// machine expression evaluation, with the operators' one definition in
+// ir (C's wrapping integer semantics).
 func (m *Machine) evalConcrete(e ir.Expr, frame int64) (int64, error) {
 	switch e := e.(type) {
 	case *ir.Const:
@@ -38,25 +37,7 @@ func (m *Machine) evalConcrete(e ir.Expr, frame int64) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		var v int64
-		switch e.Op {
-		case ir.Neg:
-			v = -a
-		case ir.Not:
-			if a == 0 {
-				v = 1
-			}
-		case ir.Compl:
-			v = ^a
-		case ir.Conv:
-			v = a
-		default:
-			return 0, errors.New("bad unary op " + e.Op.String())
-		}
-		if e.Ty != nil {
-			v = types.Truncate(e.Ty, v)
-		}
-		return v, nil
+		return e.Op.EvalUnary(a, e.Ty)
 	case *ir.Bin:
 		a, err := m.evalConcrete(e.A, frame)
 		if err != nil {
@@ -66,67 +47,9 @@ func (m *Machine) evalConcrete(e ir.Expr, frame int64) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		v, err := applyBin(e.Op, a, b)
-		if err != nil {
-			return 0, err
-		}
-		if e.Ty != nil && !e.Op.IsComparison() {
-			v = types.Truncate(e.Ty, v)
-		}
-		return v, nil
+		return e.Op.Eval(a, b, e.Ty)
 	}
 	return 0, errors.New("bad expression")
-}
-
-func applyBin(op ir.Op, a, b int64) (int64, error) {
-	switch op {
-	case ir.Add:
-		return a + b, nil
-	case ir.Sub:
-		return a - b, nil
-	case ir.Mul:
-		return a * b, nil
-	case ir.Div:
-		if b == 0 {
-			return 0, errDivZero
-		}
-		return a / b, nil
-	case ir.Mod:
-		if b == 0 {
-			return 0, errDivZero
-		}
-		return a % b, nil
-	case ir.And:
-		return a & b, nil
-	case ir.Or:
-		return a | b, nil
-	case ir.Xor:
-		return a ^ b, nil
-	case ir.Shl:
-		return a << (uint64(b) & 63), nil
-	case ir.Shr:
-		return a >> (uint64(b) & 63), nil
-	case ir.Eq:
-		return b2i(a == b), nil
-	case ir.Ne:
-		return b2i(a != b), nil
-	case ir.Lt:
-		return b2i(a < b), nil
-	case ir.Le:
-		return b2i(a <= b), nil
-	case ir.Gt:
-		return b2i(a > b), nil
-	case ir.Ge:
-		return b2i(a >= b), nil
-	}
-	return 0, errors.New("bad binary op " + op.String())
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // evalSym is Fig. 1's evaluate_symbolic(e, M, S): an affine form over
@@ -192,7 +115,8 @@ func (m *Machine) evalSym(e ir.Expr, frame int64) (l *symbolic.Lin, k int64, fau
 			return m.concreteK(e, frame)
 		case ir.Conv:
 			if la == nil {
-				return nil, types.Truncate(e.Ty, ka), false
+				k, err := e.Op.EvalUnary(ka, e.Ty)
+				return nil, k, err != nil
 			}
 			// Width truncation of a symbolic value is non-linear; treat
 			// the common no-op case (value provably in range is unknowable

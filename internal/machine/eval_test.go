@@ -1,6 +1,9 @@
 package machine
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"dart/internal/ir"
@@ -28,92 +31,194 @@ func evalMachine(t *testing.T, concrete int64) (*Machine, ir.Expr) {
 	return m, &ir.Load{Addr: &ir.GlobalAddr{Off: 0}}
 }
 
+// concreteRow is one expression and the value C gives it.  mk builds a
+// fresh tree on every call, because ir.Optimize folds in place.
+type concreteRow struct {
+	name string
+	mk   func() ir.Expr
+	want int64
+}
+
+func binRow(op ir.Op, a, b int64, ty *types.Basic, want int64) concreteRow {
+	return concreteRow{
+		name: fmt.Sprintf("%d %v %d (%v)", a, op, b, ty),
+		mk: func() ir.Expr {
+			return &ir.Bin{Op: op, A: &ir.Const{V: a}, B: &ir.Const{V: b}, Ty: ty}
+		},
+		want: want,
+	}
+}
+
+func unRow(op ir.Op, a int64, ty *types.Basic, want int64) concreteRow {
+	return concreteRow{
+		name: fmt.Sprintf("%v %d (%v)", op, a, ty),
+		mk:   func() ir.Expr { return &ir.Un{Op: op, A: &ir.Const{V: a}, Ty: ty} },
+		want: want,
+	}
+}
+
+// returning is a program whose one function, f, returns e.
+func returning(e ir.Expr) *ir.Prog {
+	return &ir.Prog{
+		Funcs: map[string]*ir.Func{"f": {
+			Name: "f", Result: types.LongType, Code: []ir.Instr{&ir.Ret{Val: e}},
+		}},
+		FuncOrder: []string{"f"},
+	}
+}
+
+// runReturning runs returning(e) on the reference interpreter or on
+// the compiled engine.
+func runReturning(t *testing.T, e ir.Expr, compiled bool) (int64, *RunError) {
+	t.Helper()
+	prog := returning(e)
+	cfg := Config{Prog: prog, Inputs: newFixedSource()}
+	if compiled {
+		cfg.Code = Compile(prog)
+	}
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, rerr := m.RunCall("f", nil)
+	return v.V, rerr
+}
+
+// folded is what ir.Optimize leaves of e as returning(e)'s result.
+func folded(e ir.Expr) ir.Expr {
+	prog := returning(e)
+	ir.Optimize(prog)
+	return prog.Funcs["f"].Code[0].(*ir.Ret).Val
+}
+
+var engines = []struct {
+	name     string
+	compiled bool
+}{{"interpreter", false}, {"compiled engine", true}}
+
+// checkRows evaluates every row three ways: by the interpreter and by
+// the compiled engine, each running a program that returns the
+// expression, and by ir.Optimize folding that return.  All three use
+// ir's one definition of the operators, so the rows' values, which are
+// C's, are the oracle that a second copy of the semantics used to be.
+func checkRows(t *testing.T, rows []concreteRow) {
+	t.Helper()
+	for _, r := range rows {
+		for _, eng := range engines {
+			got, rerr := runReturning(t, r.mk(), eng.compiled)
+			if rerr != nil {
+				t.Errorf("%s on the %s: %v", r.name, eng.name, rerr)
+			} else if got != r.want {
+				t.Errorf("%s on the %s = %d, want %d", r.name, eng.name, got, r.want)
+			}
+		}
+		if c, ok := folded(r.mk()).(*ir.Const); !ok || c.V != r.want {
+			t.Errorf("%s folds to %s, want %d", r.name, ir.ExprString(folded(r.mk())), r.want)
+		}
+	}
+}
+
 func TestConcreteBinaryOps(t *testing.T) {
-	m, _ := evalMachine(t, 0)
-	cases := []struct {
-		op   ir.Op
-		a, b int64
-		want int64
-	}{
-		{ir.Add, 7, 3, 10},
-		{ir.Sub, 7, 3, 4},
-		{ir.Mul, 7, 3, 21},
-		{ir.Div, 7, 3, 2},
-		{ir.Div, -7, 3, -2}, // C truncates toward zero
-		{ir.Mod, 7, 3, 1},
-		{ir.Mod, -7, 3, -1},
-		{ir.And, 0b1100, 0b1010, 0b1000},
-		{ir.Or, 0b1100, 0b1010, 0b1110},
-		{ir.Xor, 0b1100, 0b1010, 0b0110},
-		{ir.Shl, 3, 4, 48},
-		{ir.Shr, 48, 4, 3},
-		{ir.Shr, -8, 1, -4}, // arithmetic shift
-		{ir.Eq, 5, 5, 1},
-		{ir.Eq, 5, 6, 0},
-		{ir.Ne, 5, 6, 1},
-		{ir.Lt, 5, 6, 1},
-		{ir.Le, 6, 6, 1},
-		{ir.Gt, 6, 5, 1},
-		{ir.Ge, 5, 6, 0},
-	}
-	for _, c := range cases {
-		e := &ir.Bin{Op: c.op, A: &ir.Const{V: c.a}, B: &ir.Const{V: c.b}}
-		got, err := m.evalConcrete(e, 0)
-		if err != nil {
-			t.Fatalf("%v(%d,%d): %v", c.op, c.a, c.b, err)
-		}
-		if got != c.want {
-			t.Errorf("%v(%d,%d) = %d, want %d", c.op, c.a, c.b, got, c.want)
-		}
-	}
+	checkRows(t, []concreteRow{
+		binRow(ir.Add, 7, 3, nil, 10),
+		binRow(ir.Sub, 7, 3, nil, 4),
+		binRow(ir.Mul, 7, 3, nil, 21),
+		binRow(ir.Div, 7, 3, nil, 2),
+		binRow(ir.Div, -7, 3, nil, -2), // C truncates toward zero
+		binRow(ir.Mod, 7, 3, nil, 1),
+		binRow(ir.Mod, -7, 3, nil, -1),
+		binRow(ir.And, 0b1100, 0b1010, nil, 0b1000),
+		binRow(ir.Or, 0b1100, 0b1010, nil, 0b1110),
+		binRow(ir.Xor, 0b1100, 0b1010, nil, 0b0110),
+		binRow(ir.Shl, 3, 4, nil, 48),
+		binRow(ir.Shr, 48, 4, nil, 3),
+		binRow(ir.Shr, -8, 1, nil, -4), // arithmetic shift
+		binRow(ir.Eq, 5, 5, nil, 1),
+		binRow(ir.Eq, 5, 6, nil, 0),
+		binRow(ir.Ne, 5, 6, nil, 1),
+		binRow(ir.Lt, 5, 6, nil, 1),
+		binRow(ir.Le, 6, 6, nil, 1),
+		binRow(ir.Gt, 6, 5, nil, 1),
+		binRow(ir.Ge, 5, 6, nil, 0),
+		// Shift counts are taken mod 64.
+		binRow(ir.Shl, 1, 63, nil, math.MinInt64),
+		binRow(ir.Shl, 1, 64, nil, 1),
+		binRow(ir.Shl, 1, -1, nil, math.MinInt64),
+		binRow(ir.Shr, math.MinInt64, 63, nil, -1),
+		binRow(ir.Shr, -8, 64, nil, -8),
+		binRow(ir.Shr, math.MinInt64, -1, nil, -1),
+		// A comparison compares whole values and keeps its 0 or 1
+		// under a char type: 300 and 44 are equal as chars.
+		binRow(ir.Gt, 300, 44, types.CharType, 1),
+		binRow(ir.Eq, 256, 0, types.CharType, 0),
+		binRow(ir.Lt, -1, 0, types.UIntType, 1),
+	})
 }
 
 func TestConcreteUnaryOps(t *testing.T) {
-	m, _ := evalMachine(t, 0)
-	cases := []struct {
-		op   ir.Op
-		a    int64
-		want int64
-	}{
-		{ir.Neg, 5, -5},
-		{ir.Not, 0, 1},
-		{ir.Not, 7, 0},
-		{ir.Compl, 0, -1},
-		{ir.Conv, 9, 9},
-	}
-	for _, c := range cases {
-		e := &ir.Un{Op: c.op, A: &ir.Const{V: c.a}}
-		got, err := m.evalConcrete(e, 0)
-		if err != nil {
-			t.Fatalf("%v(%d): %v", c.op, c.a, err)
-		}
-		if got != c.want {
-			t.Errorf("%v(%d) = %d, want %d", c.op, c.a, got, c.want)
-		}
-	}
+	checkRows(t, []concreteRow{
+		unRow(ir.Neg, 5, nil, -5),
+		unRow(ir.Not, 0, nil, 1),
+		unRow(ir.Not, 7, nil, 0),
+		unRow(ir.Compl, 0, nil, -1),
+		unRow(ir.Conv, 9, nil, 9),
+		unRow(ir.Neg, math.MinInt64, nil, math.MinInt64),
+		unRow(ir.Not, math.MinInt64, types.CharType, 0),
+	})
 }
 
 func TestConcreteWrapping(t *testing.T) {
-	m, _ := evalMachine(t, 0)
-	e := &ir.Bin{Op: ir.Add, A: &ir.Const{V: 2147483647}, B: &ir.Const{V: 1}, Ty: types.IntType}
-	got, _ := m.evalConcrete(e, 0)
-	if got != -2147483648 {
-		t.Errorf("int32 wrap = %d", got)
-	}
-	u := &ir.Un{Op: ir.Neg, A: &ir.Const{V: -2147483648}, Ty: types.IntType}
-	got, _ = m.evalConcrete(u, 0)
-	if got != -2147483648 {
-		t.Errorf("-INT_MIN = %d (two's complement)", got)
-	}
+	checkRows(t, []concreteRow{
+		// 64-bit arithmetic wraps.
+		binRow(ir.Add, math.MaxInt64, 1, nil, math.MinInt64),
+		binRow(ir.Add, math.MaxInt64, 1, types.LongType, math.MinInt64),
+		binRow(ir.Div, math.MinInt64, -1, nil, math.MinInt64),
+		binRow(ir.Mod, math.MinInt64, -1, nil, 0),
+		// Arithmetic results truncate to the expression's type.
+		binRow(ir.Add, 2147483647, 1, types.IntType, -2147483648),
+		binRow(ir.Mul, 65536, 65536, types.IntType, 0),
+		binRow(ir.Add, 127, 1, types.CharType, -128),
+		binRow(ir.Shl, 1, 7, types.CharType, -128),
+		binRow(ir.Sub, 0, 1, types.UIntType, 4294967295),
+		binRow(ir.Div, math.MinInt64, -1, types.IntType, 0),
+		// So do unary results.
+		unRow(ir.Neg, -2147483648, types.IntType, -2147483648), // two's complement
+		unRow(ir.Neg, -128, types.CharType, -128),
+		unRow(ir.Neg, 1, types.UIntType, 4294967295),
+		unRow(ir.Compl, 0, types.UIntType, 4294967295),
+		unRow(ir.Compl, 127, types.CharType, -128),
+		unRow(ir.Conv, 200, types.CharType, -56),
+		unRow(ir.Conv, 1<<32+5, types.IntType, 5),
+		unRow(ir.Conv, -1, types.UIntType, 4294967295),
+	})
 }
 
+// TestConcreteFaults: an expression whose evaluation faults is left
+// unfolded by the optimizer and faults with the same message on both
+// engines.
 func TestConcreteFaults(t *testing.T) {
-	m, _ := evalMachine(t, 0)
-	if _, err := m.evalConcrete(&ir.Bin{Op: ir.Div, A: &ir.Const{V: 1}, B: &ir.Const{V: 0}}, 0); err == nil {
-		t.Error("division by zero not reported")
+	faults := []struct {
+		name string
+		mk   func() ir.Expr
+		msg  string
+	}{
+		{"1 / 0", binRow(ir.Div, 1, 0, nil, 0).mk, "division by zero"},
+		{"x % 0", binRow(ir.Mod, math.MinInt64, 0, types.IntType, 0).mk, "division by zero"},
+		{"nested 1 / 0", func() ir.Expr {
+			return &ir.Bin{Op: ir.Add, A: &ir.Const{V: 1}, B: binRow(ir.Div, 1, 0, nil, 0).mk()}
+		}, "division by zero"},
+		{"*NULL", func() ir.Expr { return &ir.Load{Addr: &ir.Const{V: 0}} }, "NULL pointer"},
 	}
-	if _, err := m.evalConcrete(&ir.Load{Addr: &ir.Const{V: 0}}, 0); err == nil {
-		t.Error("NULL load not reported")
+	for _, f := range faults {
+		for _, eng := range engines {
+			_, rerr := runReturning(t, f.mk(), eng.compiled)
+			if rerr == nil || rerr.Outcome != Crashed || !strings.Contains(rerr.Msg, f.msg) {
+				t.Errorf("%s on the %s: got %v, want a crash with %q", f.name, eng.name, rerr, f.msg)
+			}
+		}
+		if c, ok := folded(f.mk()).(*ir.Const); ok {
+			t.Errorf("%s folded away to %d: the fault must stay", f.name, c.V)
+		}
 	}
 }
 

@@ -271,7 +271,8 @@ func (j *Job) State() JobState {
 	return j.state
 }
 
-// Done returns a channel closed when the job completes.
+// Done returns a channel closed when the job completes, after its
+// JobEnd event has gone to the sink and its profile to the ops server.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Report returns the completed report bytes (nil before StateDone) and
@@ -437,12 +438,12 @@ func (s *Service) Submit(sub Submission) (*Job, error) {
 		j.cacheSrc = from
 		j.report = cached
 		j.finished = j.created
-		close(j.done)
 		s.admit(j)
 		s.retire(j)
 		s.mu.Unlock()
 		s.emit(obs.Event{Kind: obs.JobQueued, Job: j.ID, Depth: len(s.queue)})
 		s.emit(obs.Event{Kind: obs.JobEnd, Job: j.ID, Status: "cached"})
+		close(j.done)
 		return j, nil
 	}
 
@@ -713,7 +714,7 @@ func (s *Service) attempt(j *Job) (res *audit.Result, err error) {
 // finalize turns the attempt outcome into the job's completed record:
 // build the deterministic report, cache it when cacheable, release the
 // job's compiled program, retire the record into the bounded history,
-// and announce the end.
+// announce the end, and only then close Done.
 func (s *Service) finalize(j *Job, res *audit.Result, faultMsg string) {
 	j.mu.Lock()
 	stopReason := j.stopReason
@@ -771,7 +772,6 @@ func (s *Service) finalize(j *Job, res *audit.Result, faultMsg string) {
 	j.mu.Unlock()
 	s.retire(j)
 	s.mu.Unlock()
-	close(j.done)
 
 	if s.profileSink != nil {
 		s.profileSink(profile)
@@ -783,6 +783,7 @@ func (s *Service) finalize(j *Job, res *audit.Result, faultMsg string) {
 		ev.Bugs += len(rep.Entries[i].Bugs)
 	}
 	s.emit(ev)
+	close(j.done)
 }
 
 // acquireWaiter reserves one slot of the bounded completion-waiter

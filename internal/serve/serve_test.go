@@ -548,6 +548,61 @@ func TestJobEvents(t *testing.T) {
 	}
 }
 
+// TestJobEndBeforeDone: a job's JobEnd event reaches the sink before
+// its Done channel closes, for a fresh job and for a store hit alike,
+// so a caller that waits on Done finds the end in the event stream.
+func TestJobEndBeforeDone(t *testing.T) {
+	var s *Service
+	var mu sync.Mutex
+	doneAtEnd := map[string]bool{}
+	sink := obs.SinkFunc(func(ev obs.Event) {
+		if ev.Kind != obs.JobEnd {
+			return
+		}
+		j, ok := s.Job(ev.Job)
+		if !ok {
+			t.Errorf("JobEnd for unknown job %s", ev.Job)
+			return
+		}
+		closed := false
+		select {
+		case <-j.Done():
+			closed = true
+		default:
+		}
+		mu.Lock()
+		doneAtEnd[ev.Job] = closed
+		mu.Unlock()
+	})
+	s = New(Config{Executors: 1, QueueDepth: 1, Sink: sink})
+	defer s.Drain(time.Second)
+
+	fresh, err := s.Submit(Submission{Source: progs.Section21, Runs: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait(t, fresh)
+	hit, err := s.Submit(Submission{Source: progs.Section21, Runs: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait(t, hit)
+	if rep, cached := hit.Report(); rep == nil || !cached {
+		t.Fatal("the resubmission was not served from the store")
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	for _, j := range []*Job{fresh, hit} {
+		closed, seen := doneAtEnd[j.ID]
+		if !seen {
+			t.Errorf("job %s: Done closed with no JobEnd emitted", j.ID)
+		} else if closed {
+			t.Errorf("job %s: Done was closed before its JobEnd was emitted", j.ID)
+		}
+	}
+}
+
 // TestGauges: the service's /metrics gauges reflect live state.
 func TestGauges(t *testing.T) {
 	g := newGate()

@@ -56,9 +56,10 @@ go test -count=1 -race -run 'TestAuditParallelWorkersFindSameBugs' ./internal/au
 # and the drain checkpoint under the race detector, plus the store-hit
 # path: a hit skips the compile, every envelope carries the stored
 # report bytes verbatim as its last field, and a spilled report that
-# cannot be embedded reads as a miss, and the store's LRU bounds.
+# cannot be embedded reads as a miss, and the store's LRU bounds; a
+# job's end reaches the event stream before its Done channel closes.
 go test -count=1 -run 'TestCLIServeGate|TestCLIServeJobService|TestCLIServeBindError|TestCLIServeStartupSIGTERM' .
-go test -count=1 -race -run 'TestPoisonedJobIsolation|TestCachedByteIdentical|TestDrainCheckpointsBacklog|TestHTTPQueueFull429|TestConcurrentSubmissions|TestSubmitHitSkipsCompile|TestEnvelopeEmbedsReportVerbatim|TestRestartRejectsNonJSONSpill|TestStoreLRUBounds' ./internal/serve/
+go test -count=1 -race -run 'TestPoisonedJobIsolation|TestCachedByteIdentical|TestDrainCheckpointsBacklog|TestHTTPQueueFull429|TestConcurrentSubmissions|TestSubmitHitSkipsCompile|TestEnvelopeEmbedsReportVerbatim|TestRestartRejectsNonJSONSpill|TestStoreLRUBounds|TestJobEndBeforeDone' ./internal/serve/
 # Profiler gate (search cost accounting): per-site solver attribution
 # must be byte-identical at -workers 1/2/8 under the race detector (the
 # counter plane is deterministic; only nanos are wall clock), profiling
@@ -80,8 +81,9 @@ go test -count=1 -run 'TestDiskLookupAllocs' ./internal/corpus/
 go test -count=1 -run 'TestRecorderSkipsStaleRun' ./internal/concolic/
 go test -count=1 -race -run 'TestJobWait|TestJobSSEStream|TestCachedJobHasNoProfile|TestJobProfileFeedsServerProfile' ./internal/serve/
 # CLI end to end: -profile must print both cost tables and -json must
-# carry the structured profile object.
-go test -count=1 -run 'TestCLIProfile' .
+# carry the structured profile object; -audit must search with the
+# -depth, -strategy and -hangs given and reject a bad -strategy.
+go test -count=1 -run 'TestCLIProfile|TestCLIAuditSearchFlags' .
 # Explainer gate (coverage accounting): the resolved explanation — one
 # terminal reason per uncovered direction — must be byte-identical at
 # -workers 1/2/8 under the race detector (verdicts are the
@@ -137,10 +139,13 @@ diff "$tmp/explain-w1.json" "$tmp/explain-w4.json"
 # (poisoned-run reuse, step-counter reset, narrow-store sign
 # extension), pooled reports must not alias machine state, the taint
 # bitmap must skip the shadow on concrete runs without moving the
-# explain ledger, and library black boxes must keep S right.
+# explain ledger, and library black boxes must keep S right.  Every
+# operator row must give C's value on the interpreter, on the compiled
+# engine and folded by the optimizer, which share ir's one definition
+# of the operators, and a faulting row must stay unfolded.
 go test -count=1 -race -run 'TestCompiledMatchesInterp' .
 go test -count=1 -race -run 'TestBugsSurvivePooledReuse|TestConcreteSearchZeroShadowPhase|TestTaintSpreadExplainParity|TestLibBlackBoxWitnesses' .
-go test -count=1 -run 'TestNarrowStoreParity|TestResetClearsStepCounter|TestResetAfterPoisonedRun|TestBranchSnapshotDetachedFromPool|TestConcreteRunSkipsShadow|TestCompiledErrorMessagesMatchInterp|TestCompile' ./internal/machine/
+go test -count=1 -run 'TestNarrowStoreParity|TestResetClearsStepCounter|TestResetAfterPoisonedRun|TestBranchSnapshotDetachedFromPool|TestConcreteRunSkipsShadow|TestConcrete(BinaryOps|UnaryOps|Wrapping|Faults)|TestCompiledErrorMessagesMatchInterp|TestCompile' ./internal/machine/
 # CLI: -xcheck runs both engines back to back and exits nonzero on any
 # signature divergence.
 go run ./cmd/dart -xcheck -top blend "$tmp/explain.mc"
